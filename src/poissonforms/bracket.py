@@ -262,9 +262,50 @@ def _generators(structure: PoissonStructure) -> list:
     return gens
 
 
-def _pair_checks(rep, structure, f, pf, g, pg, loc):
+def _leibniz_residual(br, d, f, pf, g, fg):
+    """d(f,g) - (d f, g) - (-1)^pf (f, d g) for a derivation d of the
+    forms: ext_d, d_holo or d_antiholo."""
+    res = d(fg) - br(d(f), g)
+    rest = br(f, d(g))
+    if _sign(pf) < 0:
+        rest = -rest
+    return res - rest
+
+
+def _bidegs(chart: Chart, w: DiffForm) -> set:
+    return {
+        (sum(1 for j in idxs if chart.is_holo(j)),
+         sum(1 for j in idxs if not chart.is_holo(j)))
+        for idxs in w.parts
+    }
+
+
+def _split_pair_checks(rep, structure, f, pf, g, fg, loc, names):
+    """The complex-chart laws of one pair with fg = (f,g): the holomorphic
+    and antiholomorphic Leibniz rules, hermiticity, and bidegree
+    additivity when f and g each have a single bidegree.  `names` gives
+    the four check names in that order."""
     br = structure.bracket
     chart = structure.chart
+    holo, antiholo, hermiticity, bidegree = names
+    for name, d in ((holo, DiffForm.d_holo), (antiholo, DiffForm.d_antiholo)):
+        dl = _leibniz_residual(br, d, f, pf, g, fg)
+        rep.add(name, dl.is_zero(), str(dl), loc)
+
+    herm = fg.star() - br(g.star(), f.star())
+    rep.add(hermiticity, herm.is_zero(), str(herm), loc)
+
+    bf, bg = _bidegs(chart, f), _bidegs(chart, g)
+    if len(bf) == 1 and len(bg) == 1:
+        (pfh, pfa), = bf
+        (pgh, pga), = bg
+        want = (pfh + pgh, pfa + pga)
+        bad = sorted(_bidegs(chart, fg) - {want})
+        rep.add(bidegree, not bad, f"bidegrees {bad}" if bad else "0", loc)
+
+
+def _pair_checks(rep, structure, f, pf, g, pg, loc):
+    br = structure.bracket
     fg = br(f, g)
     gf = br(g, f)
     anti = fg - gf if (pf * pg) % 2 else fg + gf
@@ -273,46 +314,13 @@ def _pair_checks(rep, structure, f, pf, g, pg, loc):
     bad = sorted(d for d in fg.degrees() if d != pf + pg)
     rep.add("axiom-degree", not bad, f"degrees {bad}" if bad else "0", loc)
 
-    dl = fg.ext_d() - br(f.ext_d(), g)
-    rest = br(f, g.ext_d())
-    if _sign(pf) < 0:
-        rest = -rest
-    dl = dl - rest
+    dl = _leibniz_residual(br, DiffForm.ext_d, f, pf, g, fg)
     rep.add("axiom-dleibniz", dl.is_zero(), str(dl), loc)
 
-    if chart.is_complex():
-        dlh = fg.d_holo() - br(f.d_holo(), g)
-        rest = br(f, g.d_holo())
-        if _sign(pf) < 0:
-            rest = -rest
-        dlh = dlh - rest
-        rep.add("axiom-dleibniz-holo", dlh.is_zero(), str(dlh), loc)
-
-        dla = fg.d_antiholo() - br(f.d_antiholo(), g)
-        rest = br(f, g.d_antiholo())
-        if _sign(pf) < 0:
-            rest = -rest
-        dla = dla - rest
-        rep.add("axiom-dleibniz-antiholo", dla.is_zero(), str(dla), loc)
-
-        herm = fg.star() - br(g.star(), f.star())
-        rep.add("axiom-hermiticity", herm.is_zero(), str(herm), loc)
-
-        def bidegs(w):
-            return {
-                (sum(1 for j in idxs if chart.is_holo(j)),
-                 sum(1 for j in idxs if not chart.is_holo(j)))
-                for idxs in w.parts
-            }
-
-        bf, bg = bidegs(f), bidegs(g)
-        if len(bf) == 1 and len(bg) == 1:
-            (pfh, pfa), = bf
-            (pgh, pga), = bg
-            want = (pfh + pgh, pfa + pga)
-            bad_bi = sorted(bidegs(fg) - {want})
-            rep.add("axiom-bidegree", not bad_bi,
-                    f"bidegrees {bad_bi}" if bad_bi else "0", loc)
+    if structure.chart.is_complex():
+        _split_pair_checks(rep, structure, f, pf, g, fg, loc,
+                           ("axiom-dleibniz-holo", "axiom-dleibniz-antiholo",
+                            "axiom-hermiticity", "axiom-bidegree"))
 
 
 def _triple_checks(rep, structure, f, pf, g, pg, h, ph, loc):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .bracket import PoissonStructure, SamplePlan, random_scalar, random_form
 from .forms import DiffForm
-from .linalg import invert_matrix, mat_mul, identity_matrix
+from .linalg import identity_matrix, invert_matrix, mat_mul, solve
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
 from .scalars import GaussianRational
@@ -93,25 +93,6 @@ def _gr_matrix(M, n):
     return M
 
 
-def _gr_inverse(M):
-    """Gauss-Jordan over the exact scalar field; None when singular."""
-    n = len(M)
-    a = [row[:] + [GaussianRational(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
 class CanonicalTransform:
     """Affine change F -> N F + V with exact scalar entries."""
 
@@ -125,7 +106,7 @@ class CanonicalTransform:
         self.V = [_scal(v) for v in V]
         if len(self.V) != n:
             raise ValueError("V has wrong length")
-        self.Ninv = _gr_inverse(self.N)
+        self.Ninv = invert_matrix(self.N)
         if self.Ninv is None:
             raise ValueError("N is singular")
 
@@ -178,6 +159,21 @@ def yang_baxter_symmetrized(c: CanonicalConstants, A, B, C, D, E, F) -> Gaussian
     return acc
 
 
+def _component(idx) -> str:
+    return "component (" + ",".join(map(str, idx)) + ")"
+
+
+def _add_component_check(rep, name, indices, residual):
+    """Pass, or fail at the first index, in the order given, whose
+    residual is nonzero."""
+    for idx in indices:
+        v = residual(idx)
+        if not v.is_zero():
+            rep.add(name, False, str(v), _component(idx))
+            return
+    rep.add(name, True)
+
+
 def check_constants(c: CanonicalConstants) -> VerificationReport:
     """Index symmetries, the Yang-Baxter closure for Rt in its symmetrized
     (coefficient) form, and the three lower-degree closure conditions
@@ -186,55 +182,33 @@ def check_constants(c: CanonicalConstants) -> VerificationReport:
     n = c.dim
     Rt, f, g = c.Rt, c.f, c.g
 
-    bad = None
-    for A in range(n):
-        for B in range(n):
-            for C in range(n):
-                for D in range(n):
-                    if Rt[A][B][C][D] != -Rt[B][A][C][D]:
-                        bad = ("antisymmetry", (A, B, C, D))
-                        break
-                    if Rt[A][B][C][D] != Rt[A][B][D][C]:
-                        bad = ("symmetry", (A, B, C, D))
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    if bad:
-        rep.add("rt-index-symmetry", False, bad[0],
-                "component (" + ",".join(map(str, bad[1])) + ")")
-    else:
-        rep.add("rt-index-symmetry", True)
+    bad = next(((law, (A, B, C, D))
+                for A, B, C, D in itertools.product(range(n), repeat=4)
+                for law, want in (("antisymmetry", -Rt[B][A][C][D]),
+                                  ("symmetry", Rt[A][B][D][C]))
+                if Rt[A][B][C][D] != want), None)
+    rep.add("rt-index-symmetry", bad is None, "0" if bad is None else bad[0],
+            "" if bad is None else _component(bad[1]))
 
     bad = next(((A, B, C) for A in range(n) for B in range(n) for C in range(n)
                 if f[A][B][C] != -f[B][A][C]), None)
     rep.add("f-index-symmetry", bad is None,
             "" if bad is None else str(f[bad[0]][bad[1]][bad[2]] + f[bad[1]][bad[0]][bad[2]]),
-            "" if bad is None else "component (" + ",".join(map(str, bad)) + ")")
+            "" if bad is None else _component(bad))
 
     bad = next(((A, B) for A in range(n) for B in range(n)
                 if g[A][B] != -g[B][A]), None)
     rep.add("g-index-symmetry", bad is None,
             "" if bad is None else str(g[bad[0]][bad[1]] + g[bad[1]][bad[0]]),
-            "" if bad is None else "component (" + ",".join(map(str, bad)) + ")")
+            "" if bad is None else _component(bad))
 
     zero = GaussianRational(0)
 
-    bad = None
-    for A, B, C in itertools.product(range(n), repeat=3):
-        for D, E, F in itertools.combinations_with_replacement(range(n), 3):
-            v = yang_baxter_symmetrized(c, A, B, C, D, E, F)
-            if not v.is_zero():
-                bad = ((A, B, C, D, E, F), v)
-                break
-        if bad:
-            break
-    rep.add("yang-baxter", bad is None,
-            "0" if bad is None else str(bad[1]),
-            "" if bad is None else "component (" + ",".join(map(str, bad[0])) + ")")
+    _add_component_check(
+        rep, "yang-baxter",
+        (ABC + DEF for ABC in itertools.product(range(n), repeat=3)
+         for DEF in itertools.combinations_with_replacement(range(n), 3)),
+        lambda idx: yang_baxter_symmetrized(c, *idx))
 
     def quad(idx):
         A, B, C, D, E = idx
@@ -244,7 +218,8 @@ def check_constants(c: CanonicalConstants) -> VerificationReport:
                 acc = acc + 2 * Rt[X][Y][F][D] * f[Z][F][E] + f[X][Y][F] * Rt[Z][F][D][E]
         return acc
 
-    _scan(rep, "jacobi-quadratic", n, 5, quad)
+    _add_component_check(rep, "jacobi-quadratic",
+                         itertools.product(range(n), repeat=5), quad)
 
     def lin(idx):
         A, B, C, D = idx
@@ -254,7 +229,8 @@ def check_constants(c: CanonicalConstants) -> VerificationReport:
                 acc = acc + Rt[X][Y][E][D] * g[Z][E] + f[X][Y][E] * f[Z][E][D]
         return acc
 
-    _scan(rep, "jacobi-linear", n, 4, lin)
+    _add_component_check(rep, "jacobi-linear",
+                         itertools.product(range(n), repeat=4), lin)
 
     def const(idx):
         A, B, C = idx
@@ -264,26 +240,9 @@ def check_constants(c: CanonicalConstants) -> VerificationReport:
                 acc = acc + f[X][Y][D] * g[Z][D]
         return acc
 
-    _scan(rep, "jacobi-constant", n, 3, const)
+    _add_component_check(rep, "jacobi-constant",
+                         itertools.product(range(n), repeat=3), const)
     return rep
-
-
-def _scan(rep, name, n, rank, fn):
-    idxs = [0] * rank
-    while True:
-        v = fn(tuple(idxs))
-        if not v.is_zero():
-            rep.add(name, False, str(v),
-                    "component (" + ",".join(map(str, idxs)) + ")")
-            return
-        pos = rank - 1
-        while pos >= 0 and idxs[pos] == n - 1:
-            idxs[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
-        idxs[pos] += 1
-    rep.add(name, True)
 
 
 DEFAULT_COORD_PREFIX = "u"
@@ -554,48 +513,12 @@ def find_torsion_zero(c: CanonicalConstants):
     Rt[A][B][C][D] W^D + f[A][B][C] = 0 for W, then translate the origin
     there.  None when the system has no solution."""
     n = c.dim
-    rows = []
-    rhs = []
-    for A in range(n):
-        for B in range(n):
-            for C in range(n):
-                row = [c.Rt[A][B][C][D] for D in range(n)]
-                if any(not v.is_zero() for v in row) or not c.f[A][B][C].is_zero():
-                    rows.append(row)
-                    rhs.append(-c.f[A][B][C])
-    W = _solve_exact(rows, rhs, n)
+    idxs = list(itertools.product(range(n), repeat=3))
+    W = solve([c.Rt[A][B][C] for A, B, C in idxs],
+              [-c.f[A][B][C] for A, B, C in idxs])
     if W is None:
         return None
     return CanonicalTransform(
         [[1 if i == j else 0 for j in range(n)] for i in range(n)],
         [-w for w in W])
 
-
-def _solve_exact(rows, rhs, n):
-    """Particular solution of rows*W = rhs over exact scalars; None when
-    inconsistent, free variables pinned to zero."""
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((k for k in range(r, len(aug)) if not aug[k][col].is_zero()), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][col].inverse()
-        aug[r] = [x * inv for x in aug[r]]
-        for k in range(len(aug)):
-            if k != r and not aug[k][col].is_zero():
-                factor = aug[k][col]
-                aug[k] = [x - factor * y for x, y in zip(aug[k], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(aug):
-            break
-    for k in range(r, len(aug)):
-        if not aug[k][n].is_zero():
-            return None
-    W = [GaussianRational(0)] * n
-    for row_i, col in enumerate(pivots):
-        W[col] = aug[row_i][n]
-    return W

@@ -165,10 +165,21 @@ def _add_format(p) -> None:
                    help="report rendering (default text)")
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_sampling(p) -> None:
-    p.add_argument("--degree", type=int, default=2,
+    p.add_argument("--degree", type=_non_negative_int, default=2,
                    help="max degree of sampled polynomials (default 2)")
-    p.add_argument("--count", type=int, default=25,
+    p.add_argument("--count", type=_non_negative_int, default=25,
                    help="number of sampled argument tuples (default 25)")
     p.add_argument("--seed", type=int, default=0,
                    help="sampling seed (default 0)")

@@ -14,11 +14,12 @@ from __future__ import annotations
 import itertools
 import random
 
-from .bracket import (PoissonStructure, SamplePlan, _generators, _sign,
-                      random_form, random_scalar)
+from .bracket import (PoissonStructure, SamplePlan, _generators,
+                      _split_pair_checks, random_form, random_scalar)
 from .canonical import Frame, _constants_from_p, poisson_matrix
 from .forms import DiffForm
-from .geometry import Tensor, coord_signature, covariant_derivative
+from .geometry import (Tensor, coord_signature, covariant_derivative,
+                       off_block_components)
 from .linalg import det_matrix
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
@@ -59,46 +60,6 @@ def _quadratic_constants(s: PoissonStructure):
     return cons
 
 
-def _bidegs(chart: Chart, w: DiffForm):
-    return {
-        (sum(1 for j in idxs if chart.is_holo(j)),
-         sum(1 for j in idxs if not chart.is_holo(j)))
-        for idxs in w.parts
-    }
-
-
-def _complex_pair(rep, s, f, pf, g, pg, loc):
-    br = s.bracket
-    chart = s.chart
-    fg = br(f, g)
-
-    dlh = fg.d_holo() - br(f.d_holo(), g)
-    rest = br(f, g.d_holo())
-    if _sign(pf) < 0:
-        rest = -rest
-    dlh = dlh - rest
-    rep.add("delta-leibniz", dlh.is_zero(), str(dlh), loc)
-
-    dla = fg.d_antiholo() - br(f.d_antiholo(), g)
-    rest = br(f, g.d_antiholo())
-    if _sign(pf) < 0:
-        rest = -rest
-    dla = dla - rest
-    rep.add("deltabar-leibniz", dla.is_zero(), str(dla), loc)
-
-    herm = fg.star() - br(g.star(), f.star())
-    rep.add("hermiticity", herm.is_zero(), str(herm), loc)
-
-    bf, bg = _bidegs(chart, f), _bidegs(chart, g)
-    if len(bf) == 1 and len(bg) == 1:
-        (pfh, pfa), = bf
-        (pgh, pga), = bg
-        want = (pfh + pgh, pfa + pga)
-        bad = sorted(_bidegs(chart, fg) - {want})
-        rep.add("bidegree-additivity", not bad,
-                f"bidegrees {bad}" if bad else "0", loc)
-
-
 def verify_complex_axioms(s: PoissonStructure,
                           plan: SamplePlan | None = None) -> VerificationReport:
     """Check the complex-chart laws: split Leibniz rules for the
@@ -113,27 +74,29 @@ def verify_complex_axioms(s: PoissonStructure,
     rep = VerificationReport()
     n = chart.n
 
-    bad = [(a, b, c)
-           for a in range(n) for b in range(n) for c in range(n)
-           if chart.is_holo(a) != chart.is_holo(c) and s.Gamma[a][b][c]]
-    if bad:
-        for a, b, c in bad:
-            rep.add("connection-block-diagonal", False, str(s.Gamma[a][b][c]),
-                    f"component ({a},{b},{c})")
-    else:
+    bad = off_block_components(s)
+    for (a, b, c), v in bad:
+        rep.add("connection-block-diagonal", False, str(v),
+                f"component ({a},{b},{c})")
+    if not bad:
         rep.add("connection-block-diagonal", True)
+
+    def pair(f, pf, g, loc):
+        _split_pair_checks(rep, s, f, pf, g, s.bracket(f, g), loc,
+                           ("delta-leibniz", "deltabar-leibniz",
+                            "hermiticity", "bidegree-additivity"))
 
     gens = _generators(s)
     for f, pf, nf in gens:
-        for g, pg, ng in gens:
-            _complex_pair(rep, s, f, pf, g, pg, f"generators ({nf},{ng})")
+        for g, _, ng in gens:
+            pair(f, pf, g, f"generators ({nf},{ng})")
     max_fd = min(n, 2)
     for k in range(plan.count):
         pf = rng.randint(0, max_fd)
         pg = rng.randint(0, max_fd)
         f = random_form(chart, rng, plan.degree, pf)
         g = random_form(chart, rng, plan.degree, pg)
-        _complex_pair(rep, s, f, pf, g, pg, f"sample={k}")
+        pair(f, pf, g, f"sample={k}")
 
     cons = _quadratic_constants(s)
     if cons is None:
@@ -246,17 +209,6 @@ def eta_forms(s: PoissonStructure, fr: Frame, plan: SamplePlan | None = None):
         rep.add_not_applicable("eta-exterior-forms")
         rep.add_not_applicable("etabar-exterior-forms")
     return eta, etabar, rep
-
-
-def _first_nonzero(T: Tensor):
-    n = T.chart.n
-    for idx in itertools.product(range(n), repeat=len(T.signature)):
-        c = T.components
-        for j in idx:
-            c = c[j]
-        if not c.is_zero():
-            return idx, c
-    return None
 
 
 def kahler_form(s: PoissonStructure, fr: Frame, h=None,
@@ -393,7 +345,7 @@ def kahler_form(s: PoissonStructure, fr: Frame, h=None,
                     lowered[be][al] = lowered[be][al] + term
     T = covariant_derivative(
         Tensor(chart, coord_signature("dd"), lowered), s, "gamma")
-    bad = _first_nonzero(T)
+    bad = next(T.nonzero_components(), None)
     rep.add("metric-covariant-derivative", bad is None,
             "0" if bad is None else str(bad[1]),
             "" if bad is None else "component " + str(bad[0]))

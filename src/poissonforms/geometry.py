@@ -193,18 +193,27 @@ def poisson_tensor(s: PoissonStructure) -> Tensor:
     return Tensor(s.chart, coord_signature("uu"), s.P)
 
 
-def _first_failure(t: Tensor):
-    return next(t.nonzero_components(), None)
-
-
-def _add_tensor_check(rep: VerificationReport, name: str, t: Tensor):
-    bad = _first_failure(t)
+def _add_first_failure(rep: VerificationReport, name: str, bad):
+    """Pass when bad is None, else fail at the (index, value) pair bad."""
     if bad is None:
         rep.add(name, True)
     else:
         idx, val = bad
         loc = "component (" + ",".join(str(i) for i in idx) + ")"
         rep.add(name, False, str(val), loc)
+
+
+def _add_tensor_check(rep: VerificationReport, name: str, t: Tensor):
+    _add_first_failure(rep, name, next(t.nonzero_components(), None))
+
+
+def off_block_components(s: PoissonStructure) -> list:
+    """The nonzero Gamma[a][b][c] that couple a holomorphic index with an
+    antiholomorphic one, as ((a, b, c), value) pairs in index order."""
+    holo = s.chart.is_holo
+    return [((a, b, c), s.Gamma[a][b][c])
+            for a, b, c in itertools.product(range(s.chart.n), repeat=3)
+            if holo(a) != holo(c) and not s.Gamma[a][b][c].is_zero()]
 
 
 def cyclic_jacobi(s: PoissonStructure) -> Tensor:
@@ -261,22 +270,8 @@ def check_integrability(s: PoissonStructure) -> VerificationReport:
                       covariant_derivative(W, s, "gamma"))
 
     if chart.is_complex():
-        bad = None
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if chart.is_holo(a) != chart.is_holo(c) and not s.Gamma[a][b][c].is_zero():
-                        bad = (a, b, c)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad is None:
-            rep.add("block-diagonal", True)
-        else:
-            loc = "component (" + ",".join(str(i) for i in bad) + ")"
-            rep.add("block-diagonal", False, str(s.Gamma[bad[0]][bad[1]][bad[2]]), loc)
+        _add_first_failure(rep, "block-diagonal",
+                           next(iter(off_block_components(s)), None))
     return rep
 
 

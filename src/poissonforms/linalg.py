@@ -1,7 +1,9 @@
-"""Exact matrix arithmetic over rational expressions.
+"""Exact matrix arithmetic over a field.
 
-Small dimensions only; determinants expand by cofactors and inverses go
-through the adjugate, so every entry stays an exact RatExpr.
+Entries are exact scalars (GaussianRational) or rational expressions
+(RatExpr); both support is_zero, +, -, * and /, and both accept integer
+operands, so one Gauss-Jordan elimination serves determinants, inverses
+and linear solves over either field without rounding.
 """
 
 from __future__ import annotations
@@ -29,44 +31,69 @@ def mat_mul(A, B):
     return out
 
 
-def _minor(M, i, j):
-    return [row[:j] + row[j + 1:] for r, row in enumerate(M) if r != i]
-
-
-def det_matrix(M) -> RatExpr:
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    if n == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    acc = None
-    for j in range(n):
-        if M[0][j].is_zero():
+def _gauss_jordan(rows, ncols: int):
+    """Reduce `rows` in place to reduced row echelon form in their first
+    `ncols` columns; the pivot for each column is the first nonzero row at
+    or below the current one.  Returns the pivots as (column, value before
+    scaling) pairs and the number of row swaps."""
+    pivots = []
+    swaps = 0
+    r = 0
+    for col in range(ncols):
+        if r == len(rows):
+            break
+        piv = next((k for k in range(r, len(rows)) if not rows[k][col].is_zero()), None)
+        if piv is None:
             continue
-        term = M[0][j] * det_matrix(_minor(M, 0, j))
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return RatExpr.zero(M[0][0].chart)
-    return acc
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            swaps += 1
+        value = rows[r][col]
+        inv = 1 / value
+        rows[r] = [x * inv for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and not rows[k][col].is_zero():
+                factor = rows[k][col]
+                rows[k] = [x - factor * y for x, y in zip(rows[k], rows[r])]
+        pivots.append((col, value))
+        r += 1
+    return pivots, swaps
+
+
+def det_matrix(M):
+    """Determinant of a square matrix: the signed product of its pivots."""
+    n = len(M)
+    pivots, swaps = _gauss_jordan([row[:] for row in M], n)
+    if len(pivots) < n:
+        return M[0][0] * 0
+    det = pivots[0][1]
+    for _, value in pivots[1:]:
+        det = det * value
+    return -det if swaps % 2 else det
 
 
 def invert_matrix(M):
-    """Adjugate inverse; None when the determinant vanishes."""
+    """Inverse of a square matrix; None when it is singular."""
     n = len(M)
-    d = det_matrix(M)
-    if d.is_zero():
+    zero = M[0][0] * 0
+    one = zero + 1
+    rows = [row[:] + [one if i == j else zero for j in range(n)]
+            for i, row in enumerate(M)]
+    pivots, _ = _gauss_jordan(rows, n)
+    if len(pivots) < n:
         return None
-    if n == 1:
-        return [[RatExpr.const(M[0][0].chart, 1) / d]]
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c = det_matrix(_minor(M, j, i))
-            if (i + j) % 2:
-                c = -c
-            row.append(c / d)
-        inv.append(row)
-    return inv
+    return [row[n:] for row in rows]
+
+
+def solve(A, b):
+    """A particular solution W of A W = b, free variables set to zero;
+    None when the system is inconsistent.  A needs at least one row."""
+    n = len(A[0])
+    rows = [row[:] + [v] for row, v in zip(A, b)]
+    pivots, _ = _gauss_jordan(rows, n)
+    if any(not row[n].is_zero() for row in rows[len(pivots):]):
+        return None
+    W = [A[0][0] * 0] * n
+    for row, (col, _) in zip(rows, pivots):
+        W[col] = row[n]
+    return W

@@ -36,8 +36,16 @@ class Check:
 
     @staticmethod
     def from_dict(d: dict) -> "Check":
-        c = Check(d["name"], True, d.get("residual", "0"), d.get("location", ""))
-        c.status = d.get("status", "pass")
+        """Inverse of to_dict; ValueError on anything to_dict cannot write."""
+        if not isinstance(d, dict):
+            raise ValueError("report check is not an object")
+        c = Check(d.get("name"), True, d.get("residual", "0"), d.get("location", ""))
+        for field in ("name", "residual", "location"):
+            if not isinstance(getattr(c, field), str):
+                raise ValueError(f"report check field {field!r} is not a string")
+        c.status = d.get("status")
+        if c.status not in ("pass", "fail", "not-applicable"):
+            raise ValueError(f"report check {c.name!r} has status {c.status!r}")
         return c
 
     def __repr__(self):
@@ -82,7 +90,12 @@ class VerificationReport:
 
     @staticmethod
     def from_dict(d: dict) -> "VerificationReport":
-        return VerificationReport(Check.from_dict(c) for c in d.get("checks", ()))
+        """Inverse of to_dict; a summary, when present, must agree with
+        the checks, so an edited or truncated report cannot render green."""
+        rep = VerificationReport(Check.from_dict(c) for c in d.get("checks", ()))
+        if "summary" in d and d["summary"] != rep.to_dict()["summary"]:
+            raise ValueError("report summary disagrees with its checks")
+        return rep
 
     def render_text(self) -> str:
         rep = self.sorted()

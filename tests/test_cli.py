@@ -349,6 +349,59 @@ def test_report_exit_mirrors_status(tmp_path, capsys):
     assert "not a report" in err
 
 
+def _one_check_report(**check):
+    entry = {"name": "axiom-degree", "status": "pass", "residual": "0",
+             "location": ""}
+    entry.update(check)
+    return {"checks": [entry],
+            "summary": {"total": 1, "failed": 0, "status": "pass"}}
+
+
+@pytest.mark.parametrize("report", [
+    _one_check_report(status="bogus"),
+    {"checks": [{"name": "axiom-degree", "residual": "0", "location": ""}]},
+    _one_check_report(name=3),
+    _one_check_report(residual=0),
+    _one_check_report(location=["x"]),
+    {"checks": [3]},
+    dict(_one_check_report(),
+         summary={"total": 1, "failed": 1, "status": "fail"}),
+    dict(_one_check_report(status="fail"),
+         summary={"total": 1, "failed": 0, "status": "pass"}),
+    dict(_one_check_report(), summary={"total": 2, "failed": 0,
+                                       "status": "pass"}),
+], ids=["bogus-status", "missing-status", "int-name", "int-residual",
+        "list-location", "int-check", "summary-says-fail",
+        "summary-says-pass", "summary-total"])
+def test_report_rejects_malformed_file(tmp_path, capsys, report):
+    rpath = write_json(tmp_path / "rep.json", report)
+    code, out, err = run_cli(capsys, "report", rpath)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_report_accepts_summaryless_file(tmp_path, capsys):
+    report = _one_check_report(status="fail")
+    del report["summary"]
+    code, out, _ = run_cli(capsys, "report", write_json(tmp_path / "r.json",
+                                                        report))
+    assert code == 1
+    assert out.startswith("[FAIL] axiom-degree")
+
+
+def test_negative_sampling_arguments_rejected(tmp_path, capsys):
+    path = write_json(tmp_path / "darboux.json", darboux_structure_dict())
+    for flag in ("--count", "--degree"):
+        code, out, err = run_cli(capsys, "verify", path, flag, "-3")
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: expected a non-negative integer" in err
+    code, _, _ = run_cli(capsys, "verify", path, "--count", "0",
+                         "--degree", "0")
+    assert code == 0
+
+
 # -- exit codes and determinism ----------------------------------------------
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from poissonforms.bracket import PoissonStructure, SamplePlan
+from poissonforms.bracket import PoissonStructure, SamplePlan, verify_axioms
 from poissonforms.canonical import CanonicalConstants, build_canonical, check_constants
 from poissonforms.complexforms import (
     eta_forms,
@@ -149,6 +149,33 @@ def test_axioms_pass_with_linear_part():
     assert s.P[0][1] == parse_scalar("z + zb + 1", s.chart)
     rep = verify_complex_axioms(s, QUICK)
     assert rep.passed
+
+
+def test_shared_laws_agree_between_reports():
+    """Both reports compute the split Leibniz, hermiticity and bidegree
+    residuals with the same code; on the sphere with zero connection some
+    of them fail, and each generator pair must read the same in both."""
+    ch = Chart(("z", "zb"), kind="complex", pairs=(("z", "zb"),))
+    p = parse_scalar("z*zb + 1", ch)
+    s = PoissonStructure(ch, [[RatExpr.zero(ch), p], [-p, RatExpr.zero(ch)]])
+    plan = SamplePlan(count=0)
+    real = {(c.name, c.location): c.residual
+            for c in verify_axioms(s, plan).checks}
+    cplx = {(c.name, c.location): c.residual
+            for c in verify_complex_axioms(s, plan).checks}
+    pairs = {("axiom-dleibniz-holo", "delta-leibniz"),
+             ("axiom-dleibniz-antiholo", "deltabar-leibniz"),
+             ("axiom-hermiticity", "hermiticity"),
+             ("axiom-bidegree", "bidegree-additivity")}
+    seen = 0
+    for axiom, name in pairs:
+        locs = {loc for n, loc in real if n == axiom}
+        assert locs == {loc for n, loc in cplx if n == name}
+        assert len(locs) == 16
+        for loc in locs:
+            assert real[axiom, loc] == cplx[name, loc]
+            seen += real[axiom, loc] not in ("0", "")
+    assert seen
 
 
 def test_bracket_of_conjugate_pair_is_real():

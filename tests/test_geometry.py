@@ -15,9 +15,11 @@ from poissonforms.geometry import (
     poisson_tensor,
     torsion,
 )
-from poissonforms.linalg import det_matrix, invert_matrix, mat_mul, identity_matrix
+from poissonforms.linalg import (det_matrix, identity_matrix, invert_matrix,
+                                 mat_mul, solve)
 from poissonforms.parsing import parse_scalar
 from poissonforms.ratexpr import Chart, RatExpr
+from poissonforms.scalars import GaussianRational
 
 from identities import (
     curvature_twist_residual,
@@ -51,6 +53,41 @@ def test_linalg_roundtrip():
     singular = [[parse_scalar(v, ch) for v in row]
                 for row in (("x", "x"), ("x", "x"))]
     assert invert_matrix(singular) is None
+
+
+def test_linalg_row_swap_and_scalar_field():
+    ch = Chart(("x",))
+    swap = [[RatExpr.zero(ch), RatExpr.one(ch)],
+            [RatExpr.one(ch), RatExpr.zero(ch)]]
+    assert det_matrix(swap) == -1
+    gr = GaussianRational
+    M = [[gr(0), gr(1, 1)], [gr(2), gr(3)]]
+    assert det_matrix(M) == gr(-2, -2)
+    inv = invert_matrix(M)
+    one, zero = gr(1), gr(0)
+    for i in range(2):
+        for j in range(2):
+            got = sum((M[i][k] * inv[k][j] for k in range(2)), zero)
+            assert got == (one if i == j else zero)
+    assert invert_matrix([[gr(1), gr(0, 1)], [gr(0, 1), gr(-1)]]) is None
+    assert det_matrix([[gr(1), gr(0, 1)], [gr(0, 1), gr(-1)]]) == 0
+
+
+def test_solve_particular_solution():
+    gr = GaussianRational
+    # rank 2 in 3 unknowns, four equations: the third row is the sum of
+    # the first two and the last is zero.
+    A = [[gr(0), gr(1), gr(1)],
+         [gr(2), gr(0), gr(4)],
+         [gr(2), gr(1), gr(5)],
+         [gr(0), gr(0), gr(0)]]
+    b = [gr(3), gr(0, 2), gr(3, 2), gr(0)]
+    W = solve(A, b)
+    assert W == [gr(0, 1), gr(3), gr(0)]
+    for row, v in zip(A, b):
+        assert sum((x * w for x, w in zip(row, W)), gr(0)) == v
+    assert solve(A, b[:2] + [gr(4), gr(0)]) is None
+    assert solve(A, b[:3] + [gr(1)]) is None
 
 
 def test_tensor_shape_and_signature():
