@@ -1,4 +1,8 @@
-"""Freeze expectations for the complex layer tests."""
+"""Freeze expectations for the complex layer tests.
+
+Run from the root of a checkout: python3 scripts/freeze_complex.py.  The
+values go to stdout, which is the same on every run; wall-clock times go
+to stderr."""
 
 import sys
 import time
@@ -124,7 +128,7 @@ print("split:", frame_split(ch4, fr4))
 t1 = time.time()
 rep = verify_complex_axioms(s4, SamplePlan(count=2))
 show_report("axioms", rep)
-print("axioms time:", round(time.time() - t1, 2))
+print("axioms time:", round(time.time() - t1, 2), file=sys.stderr)
 t1 = time.time()
 eta4, etabar4, rep = eta_forms(s4, fr4, SamplePlan(count=2))
 show_report("eta", rep)
@@ -133,7 +137,7 @@ t1 = time.time()
 K4, rep = kahler_form(s4, fr4, plan=SamplePlan(count=2))
 show_report("kahler", rep)
 print("K =", K4)
-print("kahler time:", round(time.time() - t1, 2))
+print("kahler time:", round(time.time() - t1, 2), file=sys.stderr)
 
 print("\n== mixed-support frame row must raise ==")
 try:
@@ -157,4 +161,4 @@ try:
 except ValueError as e:
     print("ValueError:", e)
 
-print("\ntotal:", round(time.time() - t0, 2), "s")
+print("total:", round(time.time() - t0, 2), "s", file=sys.stderr)

@@ -1,4 +1,8 @@
-"""Freeze expectations for the one-dimensional module."""
+"""Freeze expectations for the one-dimensional module.
+
+Run from the root of a checkout: python3 scripts/freeze_onedim.py.  The
+values go to stdout, which is the same on every run; the wall-clock total
+goes to stderr."""
 
 import random
 import sys
@@ -141,4 +145,4 @@ for fn, args in [(HermitianTriple, (i, 0, 1)), (HermitianTriple, (1, 0, i)),
     except ValueError as e:
         print(f"  {fn.__name__}: {e}")
 
-print("\ntotal:", round(time.time() - t0, 2), "s")
+print("total:", round(time.time() - t0, 2), "s", file=sys.stderr)

@@ -58,6 +58,7 @@ class PoissonStructure:
         self.Gamma = Gamma
         self._xd = None
         self._dd = None
+        self._brackets = {}
 
     @staticmethod
     def _entry(chart: Chart, v) -> RatExpr:
@@ -129,13 +130,19 @@ class PoissonStructure:
     # -- full bracket ----------------------------------------------------
 
     def bracket(self, f: DiffForm, g: DiffForm) -> DiffForm:
-        """Bracket of two forms, bilinear over monomial terms."""
+        """Bracket of two forms, bilinear over monomial terms.  Each result
+        is kept for the life of the structure: forms are immutable and
+        canonical, so equal arguments have equal brackets."""
         f = self._as_form(f)
         g = self._as_form(g)
-        out = DiffForm.zero(self.chart)
-        for idxf, a in f.parts.items():
-            for idxg, b in g.parts.items():
-                out = out + self._br_mono(a, idxf, b, idxg)
+        key = (f, g)
+        out = self._brackets.get(key)
+        if out is None:
+            out = DiffForm.zero(self.chart)
+            for idxf, a in f.parts.items():
+                for idxg, b in g.parts.items():
+                    out = out + self._br_mono(a, idxf, b, idxg)
+            self._brackets[key] = out
         return out
 
     def _as_form(self, f) -> DiffForm:

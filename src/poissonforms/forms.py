@@ -55,7 +55,7 @@ def sort_indices(idxs: tuple):
 
 
 class DiffForm:
-    __slots__ = ("chart", "parts")
+    __slots__ = ("chart", "parts", "_hash")
 
     def __init__(self, chart: Chart, parts: dict | None = None):
         pruned = {}
@@ -65,6 +65,7 @@ class DiffForm:
                     pruned[idxs] = c
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "parts", pruned)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffForm is immutable")
@@ -283,7 +284,12 @@ class DiffForm:
         return self.chart == other.chart and self.parts == other.parts
 
     def __hash__(self):
-        return hash((self.chart, frozenset(self.parts.items())))
+        # Cached: brackets are memoized on forms, which hashes the same
+        # generator and inner-bracket forms thousands of times.
+        if self._hash is None:
+            h = hash((self.chart, frozenset(self.parts.items())))
+            object.__setattr__(self, "_hash", h)
+        return self._hash
 
     def __str__(self):
         from .printing import form_str

@@ -10,6 +10,12 @@ Grammar (whitespace insignificant):
 '^' after a 0-form takes a signed integer exponent; after a form of
 positive degree it wedges with the next factor.  '/' requires a 0-form
 divisor.  Multiplication is never implicit.
+
+Hostile input is refused with a ParseError instead of exhausting the
+stack or the clock: factors (parentheses, signs, wedges) nest at most
+MAX_DEPTH deep, and the exponents of nested powers multiply to at most
+MAX_EXPONENT in magnitude, so ((x+1)^k)^k counts as the exponent k*k.
+The size of products is not bounded.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ from .scalars import GaussianRational
 _TOKEN_RE = _re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[-+*/^()\[\]]))"
 )
+
+
+MAX_DEPTH = 64
+MAX_EXPONENT = 100
 
 
 class ParseError(ValueError):
@@ -57,6 +67,9 @@ class _Parser:
         self.chart = chart
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
+        # Largest product of nested exponents in the factor being parsed.
+        self.exponent = 1
 
     def _peek(self):
         if self.k < len(self.tokens):
@@ -111,6 +124,17 @@ class _Parser:
                 return out
 
     def factor(self) -> DiffForm:
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"expression nested more than {MAX_DEPTH} deep",
+                             self._peek()[2])
+        outer, self.exponent = self.exponent, 1
+        self.depth += 1
+        out = self._factor()
+        self.depth -= 1
+        self.exponent = max(outer, self.exponent)
+        return out
+
+    def _factor(self) -> DiffForm:
         kind, val, pos = self._peek()
         if kind == "sym" and val in "+-":
             self.k += 1
@@ -122,6 +146,10 @@ class _Parser:
             self.k += 1
             if out.degrees() in (set(), {0}):
                 n = self._signed_int()
+                self.exponent *= abs(n)
+                if self.exponent > MAX_EXPONENT:
+                    raise ParseError(
+                        f"exponent above {MAX_EXPONENT}, counting nested powers", pos)
                 sc = out.scalar_part()
                 return DiffForm.from_scalar(sc ** n)
             rhs = self.factor()

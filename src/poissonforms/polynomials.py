@@ -134,8 +134,9 @@ class Poly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def deriv(self, idx: int) -> "Poly":

@@ -17,9 +17,10 @@ _NAME_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 class Chart:
     """Ordered coordinates; complex charts pair each holomorphic coordinate
-    with its conjugate partner."""
+    with its conjugate partner.  `unit` is the constant polynomial 1 in
+    the chart's variables, shared by every RatExpr with denominator 1."""
 
-    __slots__ = ("names", "kind", "pairs", "partner", "holo")
+    __slots__ = ("names", "kind", "pairs", "partner", "holo", "unit")
 
     def __init__(self, names, kind: str = "real", pairs=()):
         names = tuple(names)
@@ -52,6 +53,7 @@ class Chart:
         object.__setattr__(self, "pairs", tuple(pairs))
         object.__setattr__(self, "partner", partner)
         object.__setattr__(self, "holo", frozenset(holo))
+        object.__setattr__(self, "unit", Poly.const(len(names), 1))
 
     def __setattr__(self, name, value):
         raise AttributeError("Chart is immutable")
@@ -105,14 +107,16 @@ class RatExpr:
 
     def __init__(self, chart: Chart, num: Poly, den: Poly | None = None):
         if den is None:
-            den = Poly.const(chart.n, 1)
-        if den.is_zero():
+            den = chart.unit
+        elif den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            den = Poly.const(chart.n, 1)
+            den = chart.unit
         elif den.is_const():
-            num = num.scale(den.const_value().inverse())
-            den = Poly.const(chart.n, 1)
+            c = den.const_value()
+            if not c.is_one():
+                num = num.scale(c.inverse())
+                den = chart.unit
         else:
             g = poly_gcd(num, den)
             if not g.is_const():

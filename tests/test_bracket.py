@@ -1,7 +1,10 @@
 import pytest
 
-from poissonforms.bracket import PoissonStructure, SamplePlan, verify_axioms
+from poissonforms.bracket import (PoissonStructure, SamplePlan, _generators,
+                                  verify_axioms)
+from poissonforms.complexforms import verify_complex_axioms
 from poissonforms.forms import DiffForm
+from poissonforms.onedim import HermitianTriple, build_one_dim
 from poissonforms.parsing import parse_form, parse_scalar
 from poissonforms.ratexpr import Chart, RatExpr
 
@@ -153,3 +156,79 @@ def test_polynomial_in_polynomial_out():
         g = random_form(ch, rng, 2, rng.randint(0, 2))
         out = st.bracket(f, g)
         assert all(c.is_poly() for c in out.parts.values())
+
+
+# -- bracket memo ------------------------------------------------------------
+
+
+class _CountingMemo(dict):
+    """A bracket memo that records every store: bracket stores each
+    result it computes, so the stores are the computations."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def _watch(structure):
+    """Give `structure` a counting memo and record the distinct argument
+    pairs of its bracket calls; returns (memo, pairs, calls)."""
+    memo = _CountingMemo()
+    structure._brackets = memo
+    pairs, calls = set(), []
+    bracket = structure.bracket
+
+    def watched(f, g):
+        calls.append(None)
+        pairs.add((structure._as_form(f), structure._as_form(g)))
+        return bracket(f, g)
+
+    structure.bracket = watched
+    return memo, pairs, calls
+
+
+def _darboux4():
+    ch = Chart(("q1", "q2", "p1", "p2"))
+    P = [["0", "0", "1", "0"], ["0", "0", "0", "1"],
+         ["-1", "0", "0", "0"], ["0", "-1", "0", "0"]]
+    return PoissonStructure(ch, P)
+
+
+def test_memo_computes_each_distinct_bracket_once():
+    st = _darboux4()
+    memo, pairs, calls = _watch(st)
+    assert verify_axioms(st).passed
+    assert (len(calls), len(pairs)) == (5189, 660)
+    assert len(memo.stored) == len(pairs)
+    assert set(memo.stored) == pairs
+
+
+def test_memoized_brackets_equal_fresh_ones():
+    st = sphere_structure()
+    plan = SamplePlan(count=3, seed=5)
+    assert verify_axioms(st, plan).passed
+    assert verify_complex_axioms(st, plan).passed
+    assert st._brackets
+    for (f, g), got in st._brackets.items():
+        assert got == PoissonStructure(st.chart, st.P, st.Gamma).bracket(f, g)
+
+
+def test_complex_layer_reuses_generator_brackets():
+    st = build_one_dim(HermitianTriple(1, 0, 1))
+    memo, pairs, _ = _watch(st)
+    assert verify_axioms(st).passed
+    before = set(memo)
+    memo.stored.clear()
+    pairs.clear()
+    assert verify_complex_axioms(st).passed
+    gens = [g for g, _, _ in _generators(st)]
+    gen_pairs = {(f, g) for f in gens for g in gens}
+    assert len(gen_pairs) == 16
+    assert gen_pairs <= pairs and gen_pairs <= before
+    assert not gen_pairs & set(memo.stored)
+    assert len(memo.stored) == len(set(memo.stored))
+    assert set(memo.stored) == pairs - before

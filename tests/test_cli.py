@@ -423,6 +423,20 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
     assert run_cli(capsys, "canonical", "nonsense")[0] == 2
 
 
+def test_hostile_expressions_exit_two(tmp_path, capsys):
+    deep = "(" * 3000 + "x" + ")" * 3000
+    path = write_json(tmp_path / "deep.json",
+                      {"chart": {"coords": ["x", "y"], "kind": "real"},
+                       "P": [["0", deep], ["-x", "0"]]})
+    code, out, err = run_cli(capsys, "verify", path)
+    assert (code, out) == (2, "")
+    assert "nested more than" in err
+    code, out, err = run_cli(capsys, "onedim", "curvature", "--a",
+                             "10^100000000", "--b", "0", "--c", "1")
+    assert (code, out) == (2, "")
+    assert "exponent above" in err
+
+
 def test_byte_identical_reports_across_processes(tmp_path):
     s = build_one_dim(HermitianTriple(1, 0, 1))
     path = write_json(tmp_path / "s.json", structure_to_dict(s))

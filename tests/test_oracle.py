@@ -1,0 +1,120 @@
+"""Differential oracle: the exact expression core against sympy.
+
+Small random polynomials over Q(i) in two variables go through RatExpr
+arithmetic, `diff` and `poly_gcd`, and the results are compared with
+sympy's `cancel`, `diff` and `gcd` on the same input.  A RatExpr must be
+the same rational function as sympy's, fully reduced (its denominator
+differs from sympy's by a constant factor only) and have a monic
+denominator.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from poissonforms.polynomials import Poly, poly_gcd
+from poissonforms.ratexpr import Chart, RatExpr
+from poissonforms.scalars import GaussianRational
+
+sympy = pytest.importorskip("sympy")
+
+CHART = Chart(("x", "y"))
+SYMBOLS = sympy.symbols("x y")
+ORACLE = settings(max_examples=30, deadline=None)
+
+_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_coeffs = st.builds(GaussianRational, _fractions, _fractions)
+
+
+def _polys(top: int, terms: int, nonzero: bool = False):
+    exps = st.tuples(st.integers(0, top), st.integers(0, top))
+    out = st.dictionaries(exps, _coeffs, min_size=int(nonzero),
+                          max_size=terms).map(lambda t: Poly(2, t))
+    return out.filter(lambda p: not p.is_zero()) if nonzero else out
+
+
+_bodies = _polys(2, 3)
+_factors = _polys(1, 2, nonzero=True)
+_denominators = _polys(1, 3, nonzero=True)
+
+
+@st.composite
+def _ratexprs(draw):
+    """num*c / (den*c): the shared factor c makes the constructor reduce."""
+    c = draw(_factors)
+    return RatExpr(CHART, draw(_bodies) * c, draw(_denominators) * c)
+
+
+def _sym_scalar(c: GaussianRational):
+    return (sympy.Rational(c.re.numerator, c.re.denominator)
+            + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+
+
+def _sym_poly(p: Poly):
+    out = sympy.Integer(0)
+    for exps, c in p.terms.items():
+        term = _sym_scalar(c)
+        for v, k in zip(SYMBOLS, exps):
+            term *= v ** k
+        out += term
+    return out
+
+
+def _sym(r: RatExpr):
+    return _sym_poly(r.num) / _sym_poly(r.den)
+
+
+def _is_constant(expr) -> bool:
+    return not sympy.cancel(expr).free_symbols
+
+
+def _assert_agrees(got: RatExpr, want):
+    """`got` is sympy's cancel(want), up to a constant in numerator and
+    denominator alike, and has a monic denominator."""
+    want_num, want_den = sympy.fraction(sympy.cancel(sympy.together(want)))
+    num, den = _sym_poly(got.num), _sym_poly(got.den)
+    assert sympy.expand(num * want_den - want_num * den) == 0
+    assert _is_constant(sympy.cancel(den / want_den))
+    assert got.den.leading()[1].is_one()
+
+
+@ORACLE
+@given(_ratexprs(), _ratexprs())
+def test_field_operations_match_cancel(a, b):
+    sa, sb = _sym(a), _sym(b)
+    _assert_agrees(a + b, sa + sb)
+    _assert_agrees(a - b, sa - sb)
+    _assert_agrees(a * b, sa * sb)
+    if not b.is_zero():
+        _assert_agrees(a / b, sa / sb)
+
+
+@ORACLE
+@given(_ratexprs())
+def test_diff_matches_sympy(a):
+    for j, v in enumerate(SYMBOLS):
+        _assert_agrees(a.diff(j), sympy.diff(_sym(a), v))
+
+
+@ORACLE
+@given(_bodies, _bodies, _factors)
+def test_poly_gcd_matches_sympy(p, q, c):
+    p, q = p * c, q * c
+    assume(not (p.is_zero() and q.is_zero()))
+    g = poly_gcd(p, q)
+    assert g.leading()[1].is_one()
+    want = sympy.gcd(_sym_poly(p), _sym_poly(q))
+    assert _is_constant(_sym_poly(g) / want)
+
+
+@ORACLE
+@given(_bodies, _factors)
+def test_constant_denominators_scale_the_numerator(p, c):
+    const = next(iter(c.terms.values()))
+    unit = Poly.const(2, 1)
+    for den in (None, unit, Poly.const(2, const)):
+        got = RatExpr(CHART, p, den)
+        want = _sym_poly(p) if den is None else _sym_poly(p) / _sym_poly(den)
+        _assert_agrees(got, want)
+        assert got.den == unit

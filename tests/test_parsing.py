@@ -1,8 +1,9 @@
 import pytest
 
-from poissonforms.parsing import ParseError, parse_form, parse_scalar
+from poissonforms.parsing import (MAX_DEPTH, MAX_EXPONENT, ParseError,
+                                  parse_form, parse_scalar)
 from poissonforms.printing import form_str, ratexpr_str
-from poissonforms.ratexpr import Chart
+from poissonforms.ratexpr import Chart, RatExpr
 from poissonforms.scalars import GaussianRational
 
 
@@ -55,6 +56,31 @@ def test_errors_carry_position(ch):
         parse_scalar("x/0", ch)
     with pytest.raises(ParseError):
         parse_scalar("x @ y", ch)
+
+
+def test_nesting_depth_is_bounded(ch):
+    for text in ("(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x",
+                 "d[x]^" * 3000 + "d[y]"):
+        with pytest.raises(ParseError, match="nested more than"):
+            parse_form(text, ch)
+    ok = MAX_DEPTH - 1
+    assert parse_scalar("(" * ok + "x" + ")" * ok, ch) == parse_scalar("x", ch)
+    assert parse_scalar("-" * ok + "x", ch) == parse_scalar("-x", ch)
+    with pytest.raises(ParseError):
+        parse_scalar("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, ch)
+
+
+def test_exponent_is_bounded(ch):
+    x = RatExpr.variable(ch, "x")
+    assert parse_scalar(f"x^{MAX_EXPONENT}", ch) == x ** MAX_EXPONENT
+    assert parse_scalar(f"x^-{MAX_EXPONENT}", ch) == x ** -MAX_EXPONENT
+    assert parse_scalar("(x^10)^10", ch) == x ** 100
+    assert parse_scalar("x^60*x^60", ch) == x ** 120
+    for text in ("10^100000000", f"x^{MAX_EXPONENT + 1}",
+                 f"x^-{MAX_EXPONENT + 1}", "((x + 1)^11)^10",
+                 "(2*(y + x^11)^3)^4", "-(x^-2)^51"):
+        with pytest.raises(ParseError, match="exponent above"):
+            parse_scalar(text, ch)
 
 
 def test_form_grammar(czx):

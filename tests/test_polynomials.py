@@ -27,6 +27,28 @@ def test_pow_and_leading():
     assert exps == (2, 0) and c == 1
 
 
+def test_pow_builds_no_higher_power(monkeypatch):
+    x, y = xy()
+    p = x + y + Poly.const(2, 1)
+    degrees = []
+    mul = Poly.__mul__
+
+    def recording(a, b):
+        out = mul(a, b)
+        degrees.append(out.total_degree())
+        return out
+
+    monkeypatch.setattr(Poly, "__mul__", recording)
+    for n in range(9):
+        degrees.clear()
+        got = p ** n
+        assert max(degrees, default=0) == n
+        want = Poly.const(2, 1)
+        for _ in range(n):
+            want = mul(want, p)
+        assert got == want
+
+
 def test_deriv():
     x, y = xy()
     p = x ** 3 * y + x.scale(5)
