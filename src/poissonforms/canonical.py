@@ -20,16 +20,11 @@ from fractions import Fraction
 
 from .bracket import PoissonStructure, SamplePlan, random_scalar, random_form
 from .forms import DiffForm
+from .geometry import _add_first_nonzero, _component, curvature
 from .linalg import identity_matrix, invert_matrix, mat_mul, solve
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
 from .scalars import GaussianRational
-
-
-def _scal(v) -> GaussianRational:
-    if isinstance(v, GaussianRational):
-        return v
-    return GaussianRational.coerce(v)
 
 
 def _zeros(dim, rank):
@@ -59,7 +54,7 @@ class CanonicalConstants:
 
         def conv(d, r):
             if r == 0:
-                return _scal(d)
+                return GaussianRational.coerce(d)
             if len(d) != n:
                 raise ValueError("constant array has wrong shape")
             return [conv(x, r - 1) for x in d]
@@ -72,12 +67,15 @@ class CanonicalConstants:
         completion, every nonzero component must be listed."""
         c = CanonicalConstants(dim)
         for A, B, C, D, v in rt:
-            c.Rt[A][B][C][D] = _scal(v)
+            c.Rt[A][B][C][D] = GaussianRational.coerce(v)
         for A, B, C, v in f:
-            c.f[A][B][C] = _scal(v)
+            c.f[A][B][C] = GaussianRational.coerce(v)
         for A, B, v in g:
-            c.g[A][B] = _scal(v)
+            c.g[A][B] = GaussianRational.coerce(v)
         return c
+
+    def linear_part_vanishes(self) -> bool:
+        return all(v.is_zero() for fA in self.f for fAB in fA for v in fAB)
 
     def __eq__(self, other):
         if not isinstance(other, CanonicalConstants):
@@ -87,7 +85,7 @@ class CanonicalConstants:
 
 
 def _gr_matrix(M, n):
-    M = [[_scal(v) for v in row] for row in M]
+    M = [[GaussianRational.coerce(v) for v in row] for row in M]
     if len(M) != n or any(len(row) != n for row in M):
         raise ValueError("matrix has wrong shape")
     return M
@@ -103,7 +101,7 @@ class CanonicalTransform:
         self.N = _gr_matrix(N, n)
         if V is None:
             V = [0] * n
-        self.V = [_scal(v) for v in V]
+        self.V = [GaussianRational.coerce(v) for v in V]
         if len(self.V) != n:
             raise ValueError("V has wrong length")
         self.Ninv = invert_matrix(self.N)
@@ -159,21 +157,6 @@ def yang_baxter_symmetrized(c: CanonicalConstants, A, B, C, D, E, F) -> Gaussian
     return acc
 
 
-def _component(idx) -> str:
-    return "component (" + ",".join(map(str, idx)) + ")"
-
-
-def _add_component_check(rep, name, indices, residual):
-    """Pass, or fail at the first index, in the order given, whose
-    residual is nonzero."""
-    for idx in indices:
-        v = residual(idx)
-        if not v.is_zero():
-            rep.add(name, False, str(v), _component(idx))
-            return
-    rep.add(name, True)
-
-
 def check_constants(c: CanonicalConstants) -> VerificationReport:
     """Index symmetries, the Yang-Baxter closure for Rt in its symmetrized
     (coefficient) form, and the three lower-degree closure conditions
@@ -204,11 +187,10 @@ def check_constants(c: CanonicalConstants) -> VerificationReport:
 
     zero = GaussianRational(0)
 
-    _add_component_check(
-        rep, "yang-baxter",
-        (ABC + DEF for ABC in itertools.product(range(n), repeat=3)
-         for DEF in itertools.combinations_with_replacement(range(n), 3)),
-        lambda idx: yang_baxter_symmetrized(c, *idx))
+    _add_first_nonzero(rep, "yang-baxter", (
+        (ABC + DEF, yang_baxter_symmetrized(c, *ABC, *DEF))
+        for ABC in itertools.product(range(n), repeat=3)
+        for DEF in itertools.combinations_with_replacement(range(n), 3)))
 
     def quad(idx):
         A, B, C, D, E = idx
@@ -218,8 +200,8 @@ def check_constants(c: CanonicalConstants) -> VerificationReport:
                 acc = acc + 2 * Rt[X][Y][F][D] * f[Z][F][E] + f[X][Y][F] * Rt[Z][F][D][E]
         return acc
 
-    _add_component_check(rep, "jacobi-quadratic",
-                         itertools.product(range(n), repeat=5), quad)
+    _add_first_nonzero(rep, "jacobi-quadratic", (
+        (i, quad(i)) for i in itertools.product(range(n), repeat=5)))
 
     def lin(idx):
         A, B, C, D = idx
@@ -229,8 +211,8 @@ def check_constants(c: CanonicalConstants) -> VerificationReport:
                 acc = acc + Rt[X][Y][E][D] * g[Z][E] + f[X][Y][E] * f[Z][E][D]
         return acc
 
-    _add_component_check(rep, "jacobi-linear",
-                         itertools.product(range(n), repeat=4), lin)
+    _add_first_nonzero(rep, "jacobi-linear", (
+        (i, lin(i)) for i in itertools.product(range(n), repeat=4)))
 
     def const(idx):
         A, B, C = idx
@@ -240,8 +222,8 @@ def check_constants(c: CanonicalConstants) -> VerificationReport:
                 acc = acc + f[X][Y][D] * g[Z][D]
         return acc
 
-    _add_component_check(rep, "jacobi-constant",
-                         itertools.product(range(n), repeat=3), const)
+    _add_first_nonzero(rep, "jacobi-constant", (
+        (i, const(i)) for i in itertools.product(range(n), repeat=3)))
     return rep
 
 
@@ -281,6 +263,24 @@ class Frame:
                 w = w + DiffForm.monomial(self.Minv[A][b], (b,))
             es.append(w)
         return es
+
+    def potential_form(self, rows) -> DiffForm:
+        """-e_A F^A summed over the frame rows A in `rows`."""
+        es = self.one_forms()
+        out = DiffForm.zero(self.chart)
+        for A in rows:
+            out = out - es[A] * DiffForm.from_scalar(self.Phi[A])
+        return out
+
+    def two_form(self, coeffs: dict) -> DiffForm:
+        """c e_A^e_B summed over the items (A, B): c of `coeffs`, skipping
+        zero coefficients; c is a scalar or a rational expression."""
+        es = self.one_forms()
+        out = DiffForm.zero(self.chart)
+        for (A, B), c in coeffs.items():
+            if not c.is_zero():
+                out = out + (es[A] * es[B]).scale(c)
+        return out
 
 
 def poisson_matrix(c: CanonicalConstants, chart: Chart):
@@ -338,8 +338,6 @@ def build_canonical(c: CanonicalConstants, chart: Chart | None = None):
 def frame_curvature(s: PoissonStructure, fr: Frame):
     """Rt[A][B][C][D] of the twisted curvature moved to the frame basis:
     contract with P_{AE} on the up slot and P on the two form slots."""
-    from .geometry import curvature
-
     Rt = curvature(s, "tilde")
     n = s.chart.n
     P, Pinv = fr.M, fr.Minv
@@ -373,19 +371,12 @@ def e_basis(s: PoissonStructure, fr: Frame):
                     f"(e_{A},{chart.names[a]})")
     Rtf = frame_curvature(s, fr)
     half = RatExpr.const(chart, Fraction(1, 2))
-    for A in range(n):
-        for B in range(n):
-            got = s.bracket(es[A], es[B])
-            want = DiffForm.zero(chart)
-            for C in range(n):
-                for D in range(n):
-                    coeff = Rtf[A][B][C][D]
-                    if coeff.is_zero():
-                        continue
-                    want = want + (es[C] * es[D]).scale(-(half * coeff))
-            diff = got - want
-            rep.add("frame-bracket-constants", diff.is_zero(), str(diff),
-                    f"(e_{A},e_{B})")
+    pairs = list(itertools.product(range(n), repeat=2))
+    for A, B in pairs:
+        want = fr.two_form({(C, D): Rtf[A][B][C][D] for C, D in pairs})
+        diff = s.bracket(es[A], es[B]) - want.scale(-half)
+        rep.add("frame-bracket-constants", diff.is_zero(), str(diff),
+                f"(e_{A},e_{B})")
     return es, rep
 
 
@@ -436,75 +427,76 @@ def transform_constants(c: CanonicalConstants, t: CanonicalTransform) -> Canonic
     return _constants_from_p(P2, chart)
 
 
+def _quadratic_constants(s: PoissonStructure):
+    """Constants read off P when every entry is a polynomial of degree at
+    most two, else None."""
+    if any(not v.is_poly() or v.num.total_degree() > 2
+           for row in s.P for v in row):
+        return None
+    return _constants_from_p(s.P, s.chart)
+
+
+def _check_realizations(rep: VerificationReport, s: PoissonStructure,
+                        plan: SamplePlan, cases, on_forms: bool) -> None:
+    """Check (omega, w) = D w for each case (omega, D, names): on every
+    coordinate, on plan.count sampled functions and, when on_forms holds,
+    on as many sampled forms; names holds the check name for each of the
+    three.  All cases share each draw, and one generator seeded with
+    plan.seed makes every draw."""
+    chart = s.chart
+    rng = random.Random(plan.seed)
+
+    def check(w, kind, loc):
+        for omega, D, names in cases:
+            diff = s.bracket(omega, w) - D(w)
+            rep.add(names[kind], diff.is_zero(), str(diff), loc)
+
+    for a in range(chart.n):
+        check(DiffForm.coord(chart, a), 0, f"coordinate {chart.names[a]}")
+    for k in range(plan.count):
+        w = DiffForm.from_scalar(random_scalar(chart, rng, plan.degree))
+        check(w, 1, f"sample {k}")
+    if on_forms:
+        for k in range(plan.count):
+            deg = rng.randrange(0, min(chart.n, 2) + 1)
+            check(random_form(chart, rng, plan.degree, deg), 2, f"sample {k}")
+
+
 def xi_realization(s: PoissonStructure, fr: Frame, plan: SamplePlan | None = None):
     """The one-form xi = -e_A F^A with its bracket laws: exterior
     derivative on functions always, on all forms exactly when the linear
-    part f vanishes, and the closed formulas for (xi,dx^a) and d xi."""
+    part f vanishes, and the closed formulas for (xi,dx^a) and d xi.
+    Needs a coefficient matrix quadratic in the coordinates."""
     chart = s.chart
     n = chart.n
-    es = fr.one_forms()
-    xi = DiffForm.zero(chart)
-    for A in range(n):
-        xi = xi - es[A] * DiffForm.from_scalar(fr.Phi[A])
+    cons = _quadratic_constants(s)
+    if cons is None:
+        raise ValueError("xi needs a coefficient matrix quadratic in the "
+                         "coordinates")
+    xi = fr.potential_form(range(n))
     rep = VerificationReport()
-    cons = _constants_from_p(s.P, chart)
-    zero_f = all(cons.f[A][B][C].is_zero()
-                 for A in range(n) for B in range(n) for C in range(n))
+    _check_realizations(
+        rep, s, plan or SamplePlan(),
+        [(xi, DiffForm.ext_d, ("xi-exterior-functions", "xi-exterior-sampled",
+                               "xi-exterior-forms"))],
+        cons.linear_part_vanishes())
 
-    for a in range(n):
-        x = DiffForm.coord(chart, a)
-        diff = s.bracket(xi, x) - x.ext_d()
-        rep.add("xi-exterior-functions", diff.is_zero(), str(diff),
-                f"coordinate {chart.names[a]}")
-
+    # (xi, dx^a) = -(1/2) M^{aC} f^{AB}_C e_A e_B and
+    # d xi = (g^{AB} + (1/2) f^{AB}_C F^C) e_A e_B
     half = RatExpr.const(chart, Fraction(1, 2))
+    pairs = list(itertools.product(range(n), repeat=2))
+    fe = [fr.two_form({(A, B): cons.f[A][B][C] for A, B in pairs})
+          for C in range(n)]
     for a in range(n):
-        got = s.bracket(xi, DiffForm.d_coord(chart, a))
-        want = DiffForm.zero(chart)
-        for A in range(n):
-            for C in range(n):
-                for D in range(n):
-                    coeff = cons.f[C][D][A]
-                    if coeff.is_zero():
-                        continue
-                    term = (es[C] * es[D]).scale(
-                        -(half * fr.M[a][A] * RatExpr.const(chart, coeff)))
-                    want = want + term
-        diff = got - want
+        want = sum((fe[C].scale(-(half * fr.M[a][C])) for C in range(n)),
+                   DiffForm.zero(chart))
+        diff = s.bracket(xi, DiffForm.d_coord(chart, a)) - want
         rep.add("xi-on-differentials", diff.is_zero(), str(diff),
                 f"differential d[{chart.names[a]}]")
-
-    dxi = xi.ext_d()
-    want = DiffForm.zero(chart)
-    phi = fr.Phi
-    for A in range(n):
-        for B in range(n):
-            coeff = RatExpr.const(chart, cons.g[A][B])
-            for C in range(n):
-                if not cons.f[A][B][C].is_zero():
-                    coeff = coeff + half * RatExpr.const(chart, cons.f[A][B][C]) * phi[C]
-            if coeff.is_zero():
-                continue
-            want = want + (es[A] * es[B]).scale(coeff)
-    diff = dxi - want
+    want = sum((fe[C].scale(half * fr.Phi[C]) for C in range(n)),
+               fr.two_form({(A, B): cons.g[A][B] for A, B in pairs}))
+    diff = xi.ext_d() - want
     rep.add("xi-derivative", diff.is_zero(), str(diff), "")
-
-    if plan is None:
-        plan = SamplePlan()
-    rng = random.Random(plan.seed)
-    for k in range(plan.count):
-        fscal = random_scalar(chart, rng, plan.degree)
-        w = DiffForm.from_scalar(fscal)
-        diff = s.bracket(xi, w) - w.ext_d()
-        rep.add("xi-exterior-sampled", diff.is_zero(), str(diff),
-                f"sample {k}")
-    if zero_f:
-        for k in range(plan.count):
-            deg = rng.randrange(0, min(n, 2) + 1)
-            w = random_form(chart, rng, plan.degree, deg)
-            diff = s.bracket(xi, w) - w.ext_d()
-            rep.add("xi-exterior-forms", diff.is_zero(), str(diff),
-                    f"sample {k}")
     return xi, rep
 
 

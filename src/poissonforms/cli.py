@@ -10,15 +10,14 @@ inputs and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .bracket import SamplePlan, verify_axioms
 from .canonical import (CanonicalTransform, build_canonical, check_constants,
                         find_torsion_zero, transform_constants)
 from .complexforms import verify_complex_axioms
-from .files import (constants_to_dict, dumps, load_constants, load_structure,
-                    scalar_to_dict, structure_to_dict)
+from .files import (_load_json, constants_to_dict, dumps, load_constants,
+                    load_structure, scalar_to_dict, structure_to_dict)
 from .geometry import check_integrability
 from .onedim import (HermitianTriple, MoebiusMap, build_one_dim, classify,
                      gaussian_curvature, moebius)
@@ -82,8 +81,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        d = json.load(fh)
+    d = _load_json(args.path)
     if not isinstance(d, dict) or not isinstance(d.get("checks"), list):
         raise ValueError("not a report file")
     rep = VerificationReport.from_dict(d)

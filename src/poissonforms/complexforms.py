@@ -15,10 +15,11 @@ import itertools
 import random
 
 from .bracket import (PoissonStructure, SamplePlan, _generators,
-                      _split_pair_checks, random_form, random_scalar)
-from .canonical import Frame, _constants_from_p, poisson_matrix
+                      _split_pair_checks, random_form)
+from .canonical import Frame, _check_realizations, _quadratic_constants
 from .forms import DiffForm
-from .geometry import (Tensor, coord_signature, covariant_derivative,
+from .geometry import (Tensor, _add_first_nonzero, _component,
+                       coord_signature, covariant_derivative,
                        off_block_components)
 from .linalg import det_matrix
 from .ratexpr import Chart, RatExpr
@@ -48,18 +49,6 @@ def frame_split(chart: Chart, fr: Frame):
     return tuple(holo), tuple(anti)
 
 
-def _quadratic_constants(s: PoissonStructure):
-    """Constants read off P when P really is quadratic, else None."""
-    cons = _constants_from_p(s.P, s.chart)
-    P2 = poisson_matrix(cons, s.chart)
-    n = s.chart.n
-    for a in range(n):
-        for b in range(n):
-            if s.P[a][b] != P2[a][b]:
-                return None
-    return cons
-
-
 def verify_complex_axioms(s: PoissonStructure,
                           plan: SamplePlan | None = None) -> VerificationReport:
     """Check the complex-chart laws: split Leibniz rules for the
@@ -75,9 +64,8 @@ def verify_complex_axioms(s: PoissonStructure,
     n = chart.n
 
     bad = off_block_components(s)
-    for (a, b, c), v in bad:
-        rep.add("connection-block-diagonal", False, str(v),
-                f"component ({a},{b},{c})")
+    for idx, v in bad:
+        rep.add("connection-block-diagonal", False, str(v), _component(idx))
     if not bad:
         rep.add("connection-block-diagonal", True)
 
@@ -111,39 +99,20 @@ def verify_complex_axioms(s: PoissonStructure,
     rep.add("potential-conjugation", ok,
             "0" if ok else "coordinate pairing is not an involution")
 
-    bad = None
-    for A, B, C, D in itertools.product(range(n), repeat=4):
-        diff = (cons.Rt[A][B][C][D].conjugate()
-                + cons.Rt[pr[A]][pr[B]][pr[C]][pr[D]])
-        if not diff.is_zero():
-            bad = ((A, B, C, D), diff)
-            break
-    rep.add("curvature-conjugation", bad is None,
-            "0" if bad is None else str(bad[1]),
-            "" if bad is None else "component (%d,%d,%d,%d)" % bad[0])
+    Rt = cons.Rt
+    idxs = list(itertools.product(range(n), repeat=4))
+    _add_first_nonzero(rep, "curvature-conjugation", (
+        ((A, B, C, D),
+         Rt[A][B][C][D].conjugate() + Rt[pr[A]][pr[B]][pr[C]][pr[D]])
+        for A, B, C, D in idxs))
 
-    bad = None
-    for A, B, C, D in itertools.product(range(n), repeat=4):
-        up = sum(1 for j in (A, B) if not chart.is_holo(j))
-        down = sum(1 for j in (C, D) if not chart.is_holo(j))
-        if up != down and not cons.Rt[A][B][C][D].is_zero():
-            bad = ((A, B, C, D), cons.Rt[A][B][C][D])
-            break
-    rep.add("curvature-vanishing-pattern", bad is None,
-            "0" if bad is None else str(bad[1]),
-            "" if bad is None else "component (%d,%d,%d,%d)" % bad[0])
+    def antiholo(js):
+        return sum(1 for j in js if not chart.is_holo(j))
+
+    _add_first_nonzero(rep, "curvature-vanishing-pattern", (
+        ((A, B, C, D), Rt[A][B][C][D]) for A, B, C, D in idxs
+        if antiholo((A, B)) != antiholo((C, D))))
     return rep
-
-
-def _build_etas(chart: Chart, fr: Frame, holo_rows, anti_rows):
-    es = fr.one_forms()
-    eta = DiffForm.zero(chart)
-    for A in holo_rows:
-        eta = eta - es[A] * DiffForm.from_scalar(fr.Phi[A])
-    etabar = DiffForm.zero(chart)
-    for A in anti_rows:
-        etabar = etabar - es[A] * DiffForm.from_scalar(fr.Phi[A])
-    return eta, etabar
 
 
 def eta_forms(s: PoissonStructure, fr: Frame, plan: SamplePlan | None = None):
@@ -160,10 +129,8 @@ def eta_forms(s: PoissonStructure, fr: Frame, plan: SamplePlan | None = None):
     if cons is None:
         raise ValueError("eta forms need a coefficient matrix quadratic "
                          "in the coordinates")
-    plan = plan or SamplePlan()
-    rng = random.Random(plan.seed)
-    n = chart.n
-    eta, etabar = _build_etas(chart, fr, holo_rows, anti_rows)
+    eta = fr.potential_form(holo_rows)
+    etabar = fr.potential_form(anti_rows)
 
     rep = VerificationReport()
     diff = eta - eta.bidegree_part(1, 0)
@@ -173,42 +140,27 @@ def eta_forms(s: PoissonStructure, fr: Frame, plan: SamplePlan | None = None):
     diff = eta.star() + etabar
     rep.add("eta-conjugation", diff.is_zero(), str(diff))
 
-    for a in range(n):
-        x = DiffForm.coord(chart, a)
-        dx = DiffForm.d_coord(chart, a)
-        zero = DiffForm.zero(chart)
-        diff = s.bracket(eta, x) - (dx if chart.is_holo(a) else zero)
-        rep.add("eta-on-coordinates", diff.is_zero(), str(diff),
-                f"coordinate {chart.names[a]}")
-        diff = s.bracket(etabar, x) - (zero if chart.is_holo(a) else dx)
-        rep.add("etabar-on-coordinates", diff.is_zero(), str(diff),
-                f"coordinate {chart.names[a]}")
-
-    for k in range(plan.count):
-        w = DiffForm.from_scalar(random_scalar(chart, rng, plan.degree))
-        diff = s.bracket(eta, w) - w.d_holo()
-        rep.add("eta-exterior-sampled", diff.is_zero(), str(diff),
-                f"sample {k}")
-        diff = s.bracket(etabar, w) - w.d_antiholo()
-        rep.add("etabar-exterior-sampled", diff.is_zero(), str(diff),
-                f"sample {k}")
-
-    zero_f = all(cons.f[A][B][C].is_zero()
-                 for A in range(n) for B in range(n) for C in range(n))
-    if zero_f:
-        for k in range(plan.count):
-            deg = rng.randrange(0, min(n, 2) + 1)
-            w = random_form(chart, rng, plan.degree, deg)
-            diff = s.bracket(eta, w) - w.d_holo()
-            rep.add("eta-exterior-forms", diff.is_zero(), str(diff),
-                    f"sample {k}")
-            diff = s.bracket(etabar, w) - w.d_antiholo()
-            rep.add("etabar-exterior-forms", diff.is_zero(), str(diff),
-                    f"sample {k}")
-    else:
+    on_forms = cons.linear_part_vanishes()
+    _check_realizations(rep, s, plan or SamplePlan(), [
+        (eta, DiffForm.d_holo, ("eta-on-coordinates", "eta-exterior-sampled",
+                                "eta-exterior-forms")),
+        (etabar, DiffForm.d_antiholo, ("etabar-on-coordinates",
+                                       "etabar-exterior-sampled",
+                                       "etabar-exterior-forms"))], on_forms)
+    if not on_forms:
         rep.add_not_applicable("eta-exterior-forms")
         rep.add_not_applicable("etabar-exterior-forms")
     return eta, etabar, rep
+
+
+def _check_central_on_differentials(rep: VerificationReport,
+                                    s: PoissonStructure, K: DiffForm) -> None:
+    """(K, dx^a) = 0 for every coordinate differential."""
+    chart = s.chart
+    for a in range(chart.n):
+        diff = s.bracket(K, DiffForm.d_coord(chart, a))
+        rep.add("kahler-central-forms", diff.is_zero(), str(diff),
+                f"differential d[{chart.names[a]}]")
 
 
 def kahler_form(s: PoissonStructure, fr: Frame, h=None,
@@ -228,10 +180,7 @@ def kahler_form(s: PoissonStructure, fr: Frame, h=None,
     chart = s.chart
     _require_complex(chart)
     holo_rows, anti_rows = frame_split(chart, fr)
-    plan = plan or SamplePlan()
-    rng = random.Random(plan.seed)
     n = chart.n
-    es = fr.one_forms()
     zero = GaussianRational(0)
     rep = VerificationReport()
 
@@ -240,8 +189,7 @@ def kahler_form(s: PoissonStructure, fr: Frame, h=None,
         if cons is None:
             raise ValueError("the default two-form needs a coefficient "
                              "matrix quadratic in the coordinates")
-        if any(not cons.f[A][B][C].is_zero()
-               for A in range(n) for B in range(n) for C in range(n)):
+        if not cons.linear_part_vanishes():
             raise ValueError("the default two-form needs a vanishing "
                              "linear part")
         hmat = [[cons.g[A][B] if A in holo_rows and B in anti_rows else zero
@@ -262,37 +210,24 @@ def kahler_form(s: PoissonStructure, fr: Frame, h=None,
         if len(holo_rows) != len(anti_rows) or det_matrix(block).is_zero():
             raise ValueError("degenerate frame metric")
 
-    frameK = DiffForm.zero(chart)
-    for A in holo_rows:
-        for B in anti_rows:
-            if not hmat[A][B].is_zero():
-                frameK = frameK + (es[A] * es[B]).scale(
-                    RatExpr.const(chart, hmat[A][B]))
+    frameK = fr.two_form({(A, B): hmat[A][B]
+                          for A in holo_rows for B in anti_rows})
 
     if h is None:
-        eta, etabar = _build_etas(chart, fr, holo_rows, anti_rows)
+        eta = fr.potential_form(holo_rows)
+        etabar = fr.potential_form(anti_rows)
         K = eta.d_antiholo()
         diff = K - frameK
         rep.add("kahler-from-frame", diff.is_zero(), str(diff))
         diff = K - etabar.d_holo()
         rep.add("kahler-alternate", diff.is_zero(), str(diff))
 
-        want = DiffForm.zero(chart)
-        for A in holo_rows:
-            for B in holo_rows:
-                if not cons.g[A][B].is_zero():
-                    want = want + (es[A] * es[B]).scale(
-                        RatExpr.const(chart, cons.g[A][B]))
-        diff = eta.d_holo() - want
-        rep.add("delta-eta-frame", diff.is_zero(), str(diff))
-        want = DiffForm.zero(chart)
-        for A in anti_rows:
-            for B in anti_rows:
-                if not cons.g[A][B].is_zero():
-                    want = want + (es[A] * es[B]).scale(
-                        RatExpr.const(chart, cons.g[A][B]))
-        diff = etabar.d_antiholo() - want
-        rep.add("deltabar-etabar-frame", diff.is_zero(), str(diff))
+        for name, d, rows in (
+                ("delta-eta-frame", eta.d_holo, holo_rows),
+                ("deltabar-etabar-frame", etabar.d_antiholo, anti_rows)):
+            diff = d() - fr.two_form({(A, B): cons.g[A][B]
+                                      for A in rows for B in rows})
+            rep.add(name, diff.is_zero(), str(diff))
 
         unmixed = all(cons.g[A][B].is_zero()
                       for rows in (holo_rows, anti_rows)
@@ -310,10 +245,7 @@ def kahler_form(s: PoissonStructure, fr: Frame, h=None,
             rep.add_not_applicable("etabar-closed")
             rep.add_not_applicable("kahler-closed")
 
-        for a in range(n):
-            diff = s.bracket(K, DiffForm.d_coord(chart, a))
-            rep.add("kahler-central-forms", diff.is_zero(), str(diff),
-                    f"differential d[{chart.names[a]}]")
+        _check_central_on_differentials(rep, s, K)
     else:
         K = frameK
 
@@ -322,15 +254,9 @@ def kahler_form(s: PoissonStructure, fr: Frame, h=None,
     diff = K.star() - K
     rep.add("kahler-star", diff.is_zero(), str(diff))
 
-    for a in range(n):
-        diff = s.bracket(K, DiffForm.coord(chart, a))
-        rep.add("kahler-central-functions", diff.is_zero(), str(diff),
-                f"coordinate {chart.names[a]}")
-    for k in range(plan.count):
-        w = DiffForm.from_scalar(random_scalar(chart, rng, plan.degree))
-        diff = s.bracket(K, w)
-        rep.add("kahler-central-functions", diff.is_zero(), str(diff),
-                f"sample {k}")
+    central = "kahler-central-functions"
+    _check_realizations(rep, s, plan or SamplePlan(), [
+        (K, lambda w: DiffForm.zero(chart), (central, central, None))], False)
 
     lowered = [[RatExpr.zero(chart) for _ in range(n)] for _ in range(n)]
     for A in holo_rows:

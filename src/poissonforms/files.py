@@ -51,10 +51,6 @@ def _index(v, dim: int, what: str) -> int:
 # -- exact scalars --------------------------------------------------------
 
 
-def rational_to_str(x: Fraction) -> str:
-    return str(x)
-
-
 def rational_from_str(text, what: str = "value") -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
@@ -65,7 +61,7 @@ def rational_from_str(text, what: str = "value") -> Fraction:
 
 
 def scalar_to_dict(v: GaussianRational) -> dict:
-    return {"re": rational_to_str(v.re), "im": rational_to_str(v.im)}
+    return {"re": str(v.re), "im": str(v.im)}
 
 
 def scalar_from_dict(d, what: str = "value") -> GaussianRational:
@@ -179,8 +175,13 @@ def dumps(d: dict) -> str:
 
 
 def _load_json(path: str):
+    """The JSON value in a file; nesting too deep for the recursive
+    decoder is malformed input, like any other decoding error."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
 
 
 def load_structure(path: str) -> PoissonStructure:

@@ -112,9 +112,6 @@ class DiffForm:
     def degrees(self) -> set:
         return {len(k) for k in self.parts}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self) -> int:
         ds = self.degrees()
         if not ds:

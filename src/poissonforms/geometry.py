@@ -193,18 +193,18 @@ def poisson_tensor(s: PoissonStructure) -> Tensor:
     return Tensor(s.chart, coord_signature("uu"), s.P)
 
 
-def _add_first_failure(rep: VerificationReport, name: str, bad):
-    """Pass when bad is None, else fail at the (index, value) pair bad."""
+def _component(idx) -> str:
+    return "component (" + ",".join(map(str, idx)) + ")"
+
+
+def _add_first_nonzero(rep: VerificationReport, name: str, components):
+    """Pass, or fail at the first (index, value) pair of `components`
+    whose value is nonzero; later pairs are not computed."""
+    bad = next(((idx, v) for idx, v in components if not v.is_zero()), None)
     if bad is None:
         rep.add(name, True)
     else:
-        idx, val = bad
-        loc = "component (" + ",".join(str(i) for i in idx) + ")"
-        rep.add(name, False, str(val), loc)
-
-
-def _add_tensor_check(rep: VerificationReport, name: str, t: Tensor):
-    _add_first_failure(rep, name, next(t.nonzero_components(), None))
+        rep.add(name, False, str(bad[1]), _component(bad[0]))
 
 
 def off_block_components(s: PoissonStructure) -> list:
@@ -240,7 +240,8 @@ def check_integrability(s: PoissonStructure) -> VerificationReport:
     rep = VerificationReport()
     chart = s.chart
     n = chart.n
-    _add_tensor_check(rep, "jacobi-cyclic", cyclic_jacobi(s))
+    _add_first_nonzero(rep, "jacobi-cyclic",
+                       cyclic_jacobi(s).nonzero_components())
 
     invertible = invert_matrix(s.P) is not None
     names = ["flatness", "poisson-parallel", "curvature-transport"]
@@ -251,9 +252,10 @@ def check_integrability(s: PoissonStructure) -> VerificationReport:
             rep.add_not_applicable(name)
         return rep
 
-    _add_tensor_check(rep, "flatness", curvature(s, "gamma"))
-    _add_tensor_check(rep, "poisson-parallel",
-                      covariant_derivative(poisson_tensor(s), s, "tilde"))
+    _add_first_nonzero(rep, "flatness",
+                       curvature(s, "gamma").nonzero_components())
+    _add_first_nonzero(rep, "poisson-parallel", covariant_derivative(
+        poisson_tensor(s), s, "tilde").nonzero_components())
 
     Rt = curvature(s, "tilde")
     P = s.P
@@ -266,12 +268,11 @@ def check_integrability(s: PoissonStructure) -> VerificationReport:
         return val
 
     W = Tensor.from_fn(chart, coord_signature("uudd"), transport)
-    _add_tensor_check(rep, "curvature-transport",
-                      covariant_derivative(W, s, "gamma"))
+    _add_first_nonzero(rep, "curvature-transport",
+                       covariant_derivative(W, s, "gamma").nonzero_components())
 
     if chart.is_complex():
-        _add_first_failure(rep, "block-diagonal",
-                           next(iter(off_block_components(s)), None))
+        _add_first_nonzero(rep, "block-diagonal", off_block_components(s))
     return rep
 
 

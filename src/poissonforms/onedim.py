@@ -19,8 +19,9 @@ module.
 from __future__ import annotations
 
 from .bracket import PoissonStructure, SamplePlan
-from .canonical import CanonicalConstants, build_canonical
-from .complexforms import eta_forms, kahler_form
+from .canonical import CanonicalConstants, build_canonical, poisson_matrix
+from .complexforms import (_check_central_on_differentials, eta_forms,
+                           kahler_form)
 from .forms import DiffForm
 from .ratexpr import Chart, RatExpr
 from .scalars import GaussianRational
@@ -156,12 +157,7 @@ def p_scalar(t: HermitianTriple, chart: Chart | None = None) -> RatExpr:
     """P = a z zb + b z + conj(b) zb + c as a rational expression."""
     if chart is None:
         chart = one_dim_chart()
-    z = RatExpr.variable(chart, 0)
-    zb = RatExpr.variable(chart, 1)
-    return (RatExpr.const(chart, t.a) * z * zb
-            + RatExpr.const(chart, t.b) * z
-            + RatExpr.const(chart, t.b.conjugate()) * zb
-            + RatExpr.const(chart, t.c))
+    return poisson_matrix(triple_constants(t), chart)[0][1]
 
 
 def moebius(t: HermitianTriple, m: MoebiusMap) -> HermitianTriple:
@@ -242,10 +238,7 @@ def eta_kahler(t: HermitianTriple, plan: SamplePlan | None = None):
     diff = K - want
     rep.add("kahler-metric-coefficient", diff.is_zero(), str(diff))
 
-    for a in range(2):
-        diff = s.bracket(K, DiffForm.d_coord(chart, a))
-        rep.add("kahler-central-forms", diff.is_zero(), str(diff),
-                f"differential d[{chart.names[a]}]")
+    _check_central_on_differentials(rep, s, K)
 
     if t.b.is_zero():
         Kdef, rep3 = kahler_form(s, fr, plan=plan)

@@ -13,10 +13,6 @@ from .ratexpr import RatExpr
 from .scalars import GaussianRational
 
 
-def scalar_str(c: GaussianRational) -> str:
-    return str(c)
-
-
 def _scalar_factor(c: GaussianRational) -> str:
     """Render c for use as a leading factor in a product."""
     s = str(c)

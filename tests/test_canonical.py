@@ -293,6 +293,19 @@ def test_xi_affine_nonzero_on_differentials():
     assert got != DiffForm.d_coord(ch, 1).ext_d()
 
 
+@pytest.mark.parametrize("entry", ["u1^3 + 1", "1/u1 + 1"])
+def test_xi_needs_quadratic_p(entry):
+    """A cubic P has no constants to compare with, and a pole at the
+    origin has no Taylor constants at all: both are rejected."""
+    _, fr = build_canonical(darboux_constants(2))
+    ch = fr.chart
+    p = parse_scalar(entry, ch)
+    zero = RatExpr.zero(ch)
+    s = PoissonStructure(ch, [[zero, p], [-p, zero]])
+    with pytest.raises(ValueError, match="quadratic"):
+        xi_realization(s, fr, QUICK)
+
+
 def test_find_torsion_zero_unique():
     c = CanonicalConstants.from_entries(
         2,

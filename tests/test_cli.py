@@ -437,6 +437,16 @@ def test_hostile_expressions_exit_two(tmp_path, capsys):
     assert "exponent above" in err
 
 
+@pytest.mark.parametrize("command", [["verify"], ["report"],
+                                     ["canonical", "check"]])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert "nested too deeply" in err
+
+
 def test_byte_identical_reports_across_processes(tmp_path):
     s = build_one_dim(HermitianTriple(1, 0, 1))
     path = write_json(tmp_path / "s.json", structure_to_dict(s))

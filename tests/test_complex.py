@@ -1,7 +1,8 @@
 import pytest
 
 from poissonforms.bracket import PoissonStructure, SamplePlan, verify_axioms
-from poissonforms.canonical import CanonicalConstants, build_canonical, check_constants
+from poissonforms.canonical import (CanonicalConstants, build_canonical,
+                                    check_constants, xi_realization)
 from poissonforms.complexforms import (
     eta_forms,
     frame_split,
@@ -225,6 +226,19 @@ def test_quartic_structure_fails_split_leibniz():
     assert (got + other).is_zero()
 
 
+def test_pole_at_origin_is_not_quadratic():
+    """P = 1/(z*zb) + 1 has no Taylor constants at the origin; the
+    quadratic checks are not applicable rather than an error."""
+    ch = zchart()
+    p = parse_scalar("1/(z*zb) + 1", ch)
+    z0 = RatExpr.zero(ch)
+    s = PoissonStructure(ch, [[z0, p], [-p, z0]])
+    rep = verify_complex_axioms(s, SamplePlan(count=0))
+    na = sorted(c.name for c in rep.checks if c.status == "not-applicable")
+    assert na == ["curvature-conjugation", "curvature-vanishing-pattern",
+                  "potential-conjugation"]
+
+
 # -- eta and etabar ----------------------------------------------------
 
 
@@ -364,3 +378,18 @@ def test_product_structure_full_stack():
     assert rep.passed
     assert K == parse_form(
         "(1/(z1*zb1+1)^2)*d[z1]*d[zb1] + (1/(z2*zb2+1)^2)*d[z2]*d[zb2]", ch)
+
+
+@pytest.mark.parametrize("builder", [
+    sphere_build,
+    lambda: build_canonical(product_constants(), product_chart())],
+    ids=["sphere", "product"])
+def test_xi_splits_into_eta_and_etabar(builder):
+    """xi sums the potentials of all frame rows, eta and etabar those of
+    the holomorphic and the antiholomorphic rows."""
+    s, fr = builder()
+    plan = SamplePlan(count=0)
+    xi, _ = xi_realization(s, fr, plan)
+    eta, etabar, _ = eta_forms(s, fr, plan)
+    assert not eta.is_zero() and not etabar.is_zero()
+    assert xi == eta + etabar
