@@ -74,7 +74,7 @@ print("other failing names:", sorted({c.name for c in fails
                                       if c.name != "connection-block-diagonal"}))
 
 print("\n== flat complex dim 2 ==")
-flat = CanonicalConstants(2, g=[[0, 1], [-1, 0]])
+flat = CanonicalConstants.from_entries(2, g=[(0, 1, 1), (1, 0, -1)])
 s3, fr3 = build_canonical(flat, zchart)
 print("split:", frame_split(zchart, fr3))
 rep = verify_complex_axioms(s3, QUICK)

@@ -8,8 +8,12 @@ validates the constants, builds the structure and its frame, transforms
 constants under affine changes of the coordinates, and finds torsion
 zeros.
 
-Storage: Rt[A][B][C][D] is antisymmetric in (A,B) and symmetric in
-(C,D); f[A][B][C] is antisymmetric in (A,B); g antisymmetric.
+Storage: Rt, f and g are dicts {index tuple: value} holding only the
+nonzero entries, Rt keyed (A,B,C,D), f keyed (A,B,C) and g keyed (A,B).
+Rt is antisymmetric in (A,B) and symmetric in (C,D); f is antisymmetric
+in (A,B); g antisymmetric.  Every law over them is a sparse contraction
+(`_contract`, an einsum that visits only nonzero entries), so its cost
+follows the number of nonzero entries, not the dimension.
 """
 
 from __future__ import annotations
@@ -22,66 +26,106 @@ from .bracket import PoissonStructure, SamplePlan, random_scalar, random_form
 from .forms import DiffForm
 from .geometry import _add_first_nonzero, _component, curvature
 from .linalg import identity_matrix, invert_matrix, mat_mul, solve
+from .polynomials import Poly
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
-from .scalars import GaussianRational
+from .scalars import GaussianRational, ZERO
 
 
-def _zeros(dim, rank):
-    if rank == 1:
-        return [GaussianRational(0) for _ in range(dim)]
-    return [_zeros(dim, rank - 1) for _ in range(dim)]
+def _accumulate(pairs) -> dict:
+    """The nonzero sums of the values of the (index, value) pairs,
+    grouped by index."""
+    acc = {}
+    for idx, v in pairs:
+        acc[idx] = acc[idx] + v if idx in acc else v
+    return {idx: v for idx, v in acc.items() if not v.is_zero()}
+
+
+def _contract(spec: str, *tensors) -> dict:
+    """Sparse einsum over {index tuple: value} dicts of nonzero entries.
+
+    `spec` names the slots of each operand and of the result, as in
+    "abk,kc->abc"; a letter missing from the result is summed over, and a
+    letter may appear only once in each operand.  Only combinations of
+    nonzero entries that agree on their shared letters are visited.
+    Returns the nonzero entries of the result."""
+    ins, out = spec.split("->")
+    letters = ""
+    # (values of `letters`, product of the entries so far) per combination
+    partial = [((), None)]
+    for sub, T in zip(ins.split(","), tensors):
+        shared = [(k, letters.index(ch)) for k, ch in enumerate(sub)
+                  if ch in letters]
+        new = [k for k, ch in enumerate(sub) if ch not in letters]
+        matches = {}
+        for idx, v in T.items():
+            matches.setdefault(tuple(idx[k] for k, _ in shared),
+                               []).append((idx, v))
+        partial = [(vals + tuple(idx[k] for k in new),
+                    v if prod is None else prod * v)
+                   for vals, prod in partial
+                   for idx, v in matches.get(
+                       tuple(vals[j] for _, j in shared), ())]
+        letters += "".join(sub[k] for k in new)
+    place = [letters.index(ch) for ch in out]
+    return _accumulate((tuple(vals[j] for j in place), prod)
+                       for vals, prod in partial)
+
+
+def _sum(terms) -> dict:
+    """The nonzero entries of the sum of k * _contract(spec, *operands)
+    over the terms (k, spec, operands)."""
+    return _accumulate((idx, k * v) for k, spec, operands in terms
+                       for idx, v in _contract(spec, *operands).items())
+
+
+def _matrix_entries(M) -> dict:
+    """The nonzero entries of a matrix (list of rows) keyed (row, column)."""
+    return {(i, j): v for i, row in enumerate(M) for j, v in enumerate(row)
+            if not v.is_zero()}
+
+
+def _entry_dict(dim: int, name: str, rank: int, entries) -> dict:
+    out = {}
+    for e in entries:
+        *idx, v = e
+        if len(idx) != rank or not all(
+                isinstance(i, int) and not isinstance(i, bool) and 0 <= i < dim
+                for i in idx):
+            raise ValueError(f"{name} entry {tuple(idx)!r} needs {rank} "
+                             f"indices, each an index in [0, {dim})")
+        out[tuple(idx)] = GaussianRational.coerce(v)
+    return {idx: v for idx, v in out.items() if not v.is_zero()}
 
 
 class CanonicalConstants:
-    """Constant data (Rt, f, g); symmetries are reported by
-    check_constants, not enforced here."""
+    """Constant data (Rt, f, g) as dicts of nonzero entries (see the
+    module docstring); symmetries are reported by check_constants, not
+    enforced here.  Built by from_entries."""
 
     __slots__ = ("dim", "Rt", "f", "g")
 
-    def __init__(self, dim: int, Rt=None, f=None, g=None):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        self.dim = dim
-        self.Rt = self._dense(Rt, 4)
-        self.f = self._dense(f, 3)
-        self.g = self._dense(g, 2)
-
-    def _dense(self, data, rank):
-        n = self.dim
-        if data is None:
-            return _zeros(n, rank)
-
-        def conv(d, r):
-            if r == 0:
-                return GaussianRational.coerce(d)
-            if len(d) != n:
-                raise ValueError("constant array has wrong shape")
-            return [conv(x, r - 1) for x in d]
-
-        return conv(data, rank)
-
     @staticmethod
     def from_entries(dim: int, rt=(), f=(), g=()) -> "CanonicalConstants":
-        """Dense constants from explicit nonzero entries; no symmetry
-        completion, every nonzero component must be listed."""
-        c = CanonicalConstants(dim)
-        for A, B, C, D, v in rt:
-            c.Rt[A][B][C][D] = GaussianRational.coerce(v)
-        for A, B, C, v in f:
-            c.f[A][B][C] = GaussianRational.coerce(v)
-        for A, B, v in g:
-            c.g[A][B] = GaussianRational.coerce(v)
+        """Constants from explicit entries (indices..., value) with
+        zero-based indices; no symmetry completion, every nonzero
+        component must be listed, and a later entry for the same indices
+        replaces an earlier one.  Raises ValueError on an entry with the
+        wrong number of indices or an index outside [0, dim)."""
+        if not isinstance(dim, int) or dim < 1:
+            raise ValueError("dimension must be positive")
+        c = object.__new__(CanonicalConstants)
+        c.dim = dim
+        c.Rt = _entry_dict(dim, "Rt", 4, rt)
+        c.f = _entry_dict(dim, "f", 3, f)
+        c.g = _entry_dict(dim, "g", 2, g)
         return c
-
-    def linear_part_vanishes(self) -> bool:
-        return all(v.is_zero() for fA in self.f for fAB in fA for v in fAB)
 
     def __eq__(self, other):
         if not isinstance(other, CanonicalConstants):
             return NotImplemented
-        return (self.dim == other.dim and self.Rt == other.Rt
-                and self.f == other.f and self.g == other.g)
+        return ((self.dim, self.Rt, self.f, self.g)
+                == (other.dim, other.Rt, other.f, other.g))
 
 
 def _gr_matrix(M, n):
@@ -123,10 +167,6 @@ class CanonicalTransform:
         return CanonicalTransform(N, V)
 
 
-def _cyc(A, B, C):
-    return ((A, B, C), (B, C, A), (C, A, B))
-
-
 def yang_baxter_defect(c: CanonicalConstants, A, B, C, D, E, F) -> GaussianRational:
     """Component of the commutator sum [Rt12,Rt13]+[Rt12,Rt23]+[Rt13,Rt23]
     acting on a triple tensor product, with (A,B,C) the output indices and
@@ -136,13 +176,15 @@ def yang_baxter_defect(c: CanonicalConstants, A, B, C, D, E, F) -> GaussianRatio
     coefficient matrix is -1/4 of this tensor contracted with the symmetric
     product of the coordinates, so only the (D,E,F)-symmetrized part is
     constrained; the raw tensor may be nonzero on consistent data."""
-    Rt = c.Rt
-    acc = GaussianRational(0)
+    def Rt(*idx):
+        return c.Rt.get(idx, ZERO)
+
+    acc = ZERO
     for K in range(c.dim):
         acc = (acc
-               + Rt[A][B][K][E] * Rt[K][C][D][F] - Rt[A][C][K][F] * Rt[K][B][D][E]
-               + Rt[A][B][D][K] * Rt[K][C][E][F] - Rt[A][K][D][E] * Rt[B][C][K][F]
-               + Rt[A][C][D][K] * Rt[B][K][E][F] - Rt[A][K][D][F] * Rt[B][C][E][K])
+               + Rt(A, B, K, E) * Rt(K, C, D, F) - Rt(A, C, K, F) * Rt(K, B, D, E)
+               + Rt(A, B, D, K) * Rt(K, C, E, F) - Rt(A, K, D, E) * Rt(B, C, K, F)
+               + Rt(A, C, D, K) * Rt(B, K, E, F) - Rt(A, K, D, F) * Rt(B, C, E, K))
     return acc
 
 
@@ -151,79 +193,58 @@ def yang_baxter_symmetrized(c: CanonicalConstants, A, B, C, D, E, F) -> Gaussian
     the contracted commutator sum: the defect summed over the distinct
     permutations of (D,E,F).  Vanishing of all components is the exact
     closure condition on Rt."""
-    acc = GaussianRational(0)
+    acc = ZERO
     for p in set(itertools.permutations((D, E, F))):
         acc = acc + yang_baxter_defect(c, A, B, C, *p)
     return acc
 
 
+# The six terms of yang_baxter_defect, summed over K (the letter k).
+_YANG_BAXTER_TERMS = ((1, "abke,kcdf->abcdef"), (-1, "ackf,kbde->abcdef"),
+                      (1, "abdk,kcef->abcdef"), (-1, "akde,bckf->abcdef"),
+                      (1, "acdk,bkef->abcdef"), (-1, "akdf,bcek->abcdef"))
+
+
 def check_constants(c: CanonicalConstants) -> VerificationReport:
     """Index symmetries, the Yang-Baxter closure for Rt in its symmetrized
     (coefficient) form, and the three lower-degree closure conditions
-    coupling Rt, f and g."""
+    coupling Rt, f and g.  Each law fails at its first nonzero component
+    in index order."""
     rep = VerificationReport()
-    n = c.dim
     Rt, f, g = c.Rt, c.f, c.g
 
-    bad = next(((law, (A, B, C, D))
-                for A, B, C, D in itertools.product(range(n), repeat=4)
-                for law, want in (("antisymmetry", -Rt[B][A][C][D]),
-                                  ("symmetry", Rt[A][B][D][C]))
-                if Rt[A][B][C][D] != want), None)
-    rep.add("rt-index-symmetry", bad is None, "0" if bad is None else bad[0],
-            "" if bad is None else _component(bad[1]))
+    anti = _sum([(1, "abcd->abcd", [Rt]), (1, "bacd->abcd", [Rt])])
+    sym = _sum([(1, "abcd->abcd", [Rt]), (-1, "abdc->abcd", [Rt])])
+    bad = min(itertools.chain(((i, 0, "antisymmetry") for i in anti),
+                              ((i, 1, "symmetry") for i in sym)), default=None)
+    rep.add("rt-index-symmetry", bad is None, "0" if bad is None else bad[2],
+            "" if bad is None else _component(bad[0]))
 
-    bad = next(((A, B, C) for A in range(n) for B in range(n) for C in range(n)
-                if f[A][B][C] != -f[B][A][C]), None)
-    rep.add("f-index-symmetry", bad is None,
-            "" if bad is None else str(f[bad[0]][bad[1]][bad[2]] + f[bad[1]][bad[0]][bad[2]]),
-            "" if bad is None else _component(bad))
+    for name, T, specs in (("f-index-symmetry", f, ("abc->abc", "bac->abc")),
+                           ("g-index-symmetry", g, ("ab->ab", "ba->ab"))):
+        res = _sum((1, spec, [T]) for spec in specs)
+        bad = min(res, default=None)
+        rep.add(name, bad is None, "" if bad is None else str(res[bad]),
+                "" if bad is None else _component(bad))
 
-    bad = next(((A, B) for A in range(n) for B in range(n)
-                if g[A][B] != -g[B][A]), None)
-    rep.add("g-index-symmetry", bad is None,
-            "" if bad is None else str(g[bad[0]][bad[1]] + g[bad[1]][bad[0]]),
-            "" if bad is None else _component(bad))
+    def cyclic(*terms):
+        """The terms once for each cyclic shift XYZ of the letters abc."""
+        return _sum((k, spec.translate(str.maketrans("XYZ", shift)), ops)
+                    for shift in ("abc", "bca", "cab") for k, spec, ops in terms)
 
-    zero = GaussianRational(0)
-
-    _add_first_nonzero(rep, "yang-baxter", (
-        (ABC + DEF, yang_baxter_symmetrized(c, *ABC, *DEF))
-        for ABC in itertools.product(range(n), repeat=3)
-        for DEF in itertools.combinations_with_replacement(range(n), 3)))
-
-    def quad(idx):
-        A, B, C, D, E = idx
-        acc = zero
-        for X, Y, Z in _cyc(A, B, C):
-            for F in range(n):
-                acc = acc + 2 * Rt[X][Y][F][D] * f[Z][F][E] + f[X][Y][F] * Rt[Z][F][D][E]
-        return acc
-
-    _add_first_nonzero(rep, "jacobi-quadratic", (
-        (i, quad(i)) for i in itertools.product(range(n), repeat=5)))
-
-    def lin(idx):
-        A, B, C, D = idx
-        acc = zero
-        for X, Y, Z in _cyc(A, B, C):
-            for E in range(n):
-                acc = acc + Rt[X][Y][E][D] * g[Z][E] + f[X][Y][E] * f[Z][E][D]
-        return acc
-
-    _add_first_nonzero(rep, "jacobi-linear", (
-        (i, lin(i)) for i in itertools.product(range(n), repeat=4)))
-
-    def const(idx):
-        A, B, C = idx
-        acc = zero
-        for X, Y, Z in _cyc(A, B, C):
-            for D in range(n):
-                acc = acc + f[X][Y][D] * g[Z][D]
-        return acc
-
-    _add_first_nonzero(rep, "jacobi-constant", (
-        (i, const(i)) for i in itertools.product(range(n), repeat=3)))
+    # The symmetrized component (A,B,C,D,E,F) with D <= E <= F sums the
+    # defect over the distinct permutations of (D,E,F).
+    defect = _sum((k, spec, [Rt, Rt]) for k, spec in _YANG_BAXTER_TERMS)
+    yb = _accumulate((idx[:3] + tuple(sorted(idx[3:])), v)
+                     for idx, v in defect.items())
+    for name, law in (
+            ("yang-baxter", yb),
+            ("jacobi-quadratic", cyclic((2, "XYfd,Zfe->abcde", [Rt, f]),
+                                        (1, "XYf,Zfde->abcde", [f, Rt]))),
+            ("jacobi-linear", cyclic((1, "XYed,Ze->abcd", [Rt, g]),
+                                     (1, "XYe,Zed->abcd", [f, f]))),
+            ("jacobi-constant", cyclic((1, "XYd,Zd->abc", [f, g])))):
+        _add_first_nonzero(rep, name, sorted(law.items()))
     return rep
 
 
@@ -284,25 +305,18 @@ class Frame:
 
 
 def poisson_matrix(c: CanonicalConstants, chart: Chart):
-    """P^{AB} as rational expressions on the chart."""
+    """P^{AB} as rational expressions on the chart, each polynomial entry
+    built from its terms: g^{AB}, f^{AB}_C F^C and (1/2) Rt^{AB}_{CD} F^C F^D."""
     n = c.dim
-    half = RatExpr.const(chart, Fraction(1, 2))
-    phi = [RatExpr.variable(chart, k) for k in range(n)]
-    P = []
-    for A in range(n):
-        row = []
-        for B in range(n):
-            acc = RatExpr.const(chart, c.g[A][B])
-            for C in range(n):
-                if not c.f[A][B][C].is_zero():
-                    acc = acc + RatExpr.const(chart, c.f[A][B][C]) * phi[C]
-                for D in range(n):
-                    v = c.Rt[A][B][C][D]
-                    if not v.is_zero():
-                        acc = acc + half * RatExpr.const(chart, v) * phi[C] * phi[D]
-            row.append(acc)
-        P.append(row)
-    return P
+    half = GaussianRational(Fraction(1, 2))
+    terms = [[{} for _ in range(n)] for _ in range(n)]
+    for (A, B, *coords), v in itertools.chain(
+            c.g.items(), c.f.items(),
+            ((idx, half * v) for idx, v in c.Rt.items())):
+        exps = tuple(coords.count(k) for k in range(chart.n))
+        t = terms[A][B]
+        t[exps] = t[exps] + v if exps in t else v
+    return [[RatExpr(chart, Poly(chart.n, t)) for t in row] for row in terms]
 
 
 def build_canonical(c: CanonicalConstants, chart: Chart | None = None):
@@ -335,25 +349,14 @@ def build_canonical(c: CanonicalConstants, chart: Chart | None = None):
     return s, fr
 
 
-def frame_curvature(s: PoissonStructure, fr: Frame):
-    """Rt[A][B][C][D] of the twisted curvature moved to the frame basis:
-    contract with P_{AE} on the up slot and P on the two form slots."""
-    Rt = curvature(s, "tilde")
-    n = s.chart.n
-    P, Pinv = fr.M, fr.Minv
-    out = _zeros(n, 4)
-    for A in range(n):
-        for B in range(n):
-            for C in range(n):
-                for D in range(n):
-                    acc = RatExpr.zero(s.chart)
-                    for E in range(n):
-                        for F in range(n):
-                            for Gi in range(n):
-                                term = Pinv[A][E] * P[C][F] * P[D][Gi] * Rt[E, B, F, Gi]
-                                acc = acc + term
-                    out[A][B][C][D] = acc
-    return out
+def frame_curvature(s: PoissonStructure, fr: Frame) -> dict:
+    """The nonzero components {(A, B, C, D): value} of the twisted
+    curvature moved to the frame basis: contract with P_{AE} on the up
+    slot and P on the two form slots."""
+    T = dict(curvature(s, "tilde").nonzero_components())
+    T = _contract("ebfg,ae->abfg", T, _matrix_entries(fr.Minv))
+    T = _contract("abfg,cf->abcg", T, _matrix_entries(fr.M))
+    return _contract("abcg,dg->abcd", T, _matrix_entries(fr.M))
 
 
 def e_basis(s: PoissonStructure, fr: Frame):
@@ -371,69 +374,58 @@ def e_basis(s: PoissonStructure, fr: Frame):
                     f"(e_{A},{chart.names[a]})")
     Rtf = frame_curvature(s, fr)
     half = RatExpr.const(chart, Fraction(1, 2))
-    pairs = list(itertools.product(range(n), repeat=2))
-    for A, B in pairs:
-        want = fr.two_form({(C, D): Rtf[A][B][C][D] for C, D in pairs})
+    for A, B in itertools.product(range(n), repeat=2):
+        want = fr.two_form({(C, D): v for (A2, B2, C, D), v in Rtf.items()
+                            if (A2, B2) == (A, B)})
         diff = s.bracket(es[A], es[B]) - want.scale(-half)
         rep.add("frame-bracket-constants", diff.is_zero(), str(diff),
                 f"(e_{A},e_{B})")
     return es, rep
 
 
-def _constants_from_p(P, chart):
-    """Read (Rt, f, g) back off a quadratic P matrix."""
-    n = chart.n
-    origin = [GaussianRational(0)] * n
-    Rt = _zeros(n, 4)
-    f = _zeros(n, 3)
-    g = _zeros(n, 2)
-    for A in range(n):
-        for B in range(n):
-            g[A][B] = P[A][B].eval_at(origin)
-            for C in range(n):
-                dC = P[A][B].diff(C)
-                f[A][B][C] = dC.eval_at(origin)
-                for D in range(n):
-                    Rt[A][B][C][D] = dC.diff(D).eval_at(origin)
-    return CanonicalConstants(n, Rt, f, g)
-
-
 def transform_constants(c: CanonicalConstants, t: CanonicalTransform) -> CanonicalConstants:
-    """Constants after F -> N F + V, read off the substituted P."""
+    """Constants after F -> N F + V.  With W = N^{-1} V the old
+    coordinates are N^{-1} F' - W, so
+    Rt' = N N Rt N^{-1} N^{-1}, f' = N N (f - Rt W) N^{-1} and
+    g' = N N (g - f W + (1/2) Rt W W)."""
     n = c.dim
     if len(t.N) != n:
         raise ValueError("transform dimension does not match constants")
-    chart = canonical_chart(n)
-    P = poisson_matrix(c, chart)
-    phi = [RatExpr.variable(chart, k) for k in range(n)]
-    back = []
-    for A in range(n):
-        acc = RatExpr.zero(chart)
-        for B in range(n):
-            acc = acc + RatExpr.const(chart, t.Ninv[A][B]) * (
-                phi[B] - RatExpr.const(chart, t.V[B]))
-        back.append(acc)
-    P2 = [[None] * n for _ in range(n)]
-    for A in range(n):
-        for B in range(n):
-            acc = RatExpr.zero(chart)
-            for E in range(n):
-                for F in range(n):
-                    if P[E][F].is_zero():
-                        continue
-                    acc = acc + (RatExpr.const(chart, t.N[A][E] * t.N[B][F])
-                                 * P[E][F])
-            P2[A][B] = acc.subst(back)
-    return _constants_from_p(P2, chart)
+    N, Ninv = _matrix_entries(t.N), _matrix_entries(t.Ninv)
+    W = _contract("gh,h->g", Ninv,
+                  {(h,): v for h, v in enumerate(t.V) if not v.is_zero()})
+    f = _sum([(1, "efg->efg", [c.f]), (-1, "efgh,h->efg", [c.Rt, W])])
+    g = _sum([(1, "ef->ef", [c.g]), (-1, "efg,g->ef", [c.f, W]),
+              (Fraction(1, 2), "efgh,g,h->ef", [c.Rt, W, W])])
+    out = (_contract("efgh,ae,bf,gc,hd->abcd", c.Rt, N, N, Ninv, Ninv),
+           _contract("efg,ae,bf,gc->abc", f, N, N, Ninv),
+           _contract("ef,ae,bf->ab", g, N, N))
+    return CanonicalConstants.from_entries(
+        n, *([idx + (v,) for idx, v in T.items()] for T in out))
 
 
 def _quadratic_constants(s: PoissonStructure):
-    """Constants read off P when every entry is a polynomial of degree at
-    most two, else None."""
+    """Constants read off the terms of P when every entry is a polynomial
+    of degree at most two, else None: a constant term c of P^{AB} is
+    g^{AB}, c F^C gives f^{AB}_C, c F^C F^D gives Rt^{AB}_{CD} =
+    Rt^{AB}_{DC} = c for C != D and Rt^{AB}_{CC} = 2c."""
     if any(not v.is_poly() or v.num.total_degree() > 2
            for row in s.P for v in row):
         return None
-    return _constants_from_p(s.P, s.chart)
+    n = s.chart.n
+    rt, f, g = [], [], []
+    for A, B in itertools.product(range(n), repeat=2):
+        for exps, v in s.P[A][B].num.terms.items():
+            coords = tuple(C for C in range(n) for _ in range(exps[C]))
+            if not coords:
+                g.append((A, B, v))
+            elif len(coords) == 1:
+                f.append((A, B, *coords, v))
+            elif coords[0] == coords[1]:
+                rt.append((A, B, *coords, 2 * v))
+            else:
+                rt += [(A, B, *coords, v), (A, B, *coords[::-1], v)]
+    return CanonicalConstants.from_entries(n, rt, f, g)
 
 
 def _check_realizations(rep: VerificationReport, s: PoissonStructure,
@@ -479,13 +471,13 @@ def xi_realization(s: PoissonStructure, fr: Frame, plan: SamplePlan | None = Non
         rep, s, plan or SamplePlan(),
         [(xi, DiffForm.ext_d, ("xi-exterior-functions", "xi-exterior-sampled",
                                "xi-exterior-forms"))],
-        cons.linear_part_vanishes())
+        not cons.f)
 
     # (xi, dx^a) = -(1/2) M^{aC} f^{AB}_C e_A e_B and
     # d xi = (g^{AB} + (1/2) f^{AB}_C F^C) e_A e_B
     half = RatExpr.const(chart, Fraction(1, 2))
-    pairs = list(itertools.product(range(n), repeat=2))
-    fe = [fr.two_form({(A, B): cons.f[A][B][C] for A, B in pairs})
+    fe = [fr.two_form({(A, B): v for (A, B, C2), v in cons.f.items()
+                       if C2 == C})
           for C in range(n)]
     for a in range(n):
         want = sum((fe[C].scale(-(half * fr.M[a][C])) for C in range(n)),
@@ -494,7 +486,7 @@ def xi_realization(s: PoissonStructure, fr: Frame, plan: SamplePlan | None = Non
         rep.add("xi-on-differentials", diff.is_zero(), str(diff),
                 f"differential d[{chart.names[a]}]")
     want = sum((fe[C].scale(half * fr.Phi[C]) for C in range(n)),
-               fr.two_form({(A, B): cons.g[A][B] for A, B in pairs}))
+               fr.two_form(cons.g))
     diff = xi.ext_d() - want
     rep.add("xi-derivative", diff.is_zero(), str(diff), "")
     return xi, rep
@@ -502,15 +494,18 @@ def xi_realization(s: PoissonStructure, fr: Frame, plan: SamplePlan | None = Non
 
 def find_torsion_zero(c: CanonicalConstants):
     """Translation making the linear part vanish: solve
-    Rt[A][B][C][D] W^D + f[A][B][C] = 0 for W, then translate the origin
-    there.  None when the system has no solution."""
+    Rt^{AB}_{CD} W^D + f^{AB}_C = 0 for W, then translate the origin
+    there.  None when the system has no solution.  Only the equations
+    (A,B,C) with a nonzero Rt or f entry are not 0 = 0."""
     n = c.dim
-    idxs = list(itertools.product(range(n), repeat=3))
-    W = solve([c.Rt[A][B][C] for A, B, C in idxs],
-              [-c.f[A][B][C] for A, B, C in idxs])
+    rows = sorted({idx[:3] for idx in c.Rt} | set(c.f))
+    if not rows:
+        return CanonicalTransform.identity(n)
+    W = solve([[c.Rt.get((A, B, C, D), ZERO) for D in range(n)]
+               for A, B, C in rows],
+              [-c.f.get(idx, ZERO) for idx in rows])
     if W is None:
         return None
     return CanonicalTransform(
         [[1 if i == j else 0 for j in range(n)] for i in range(n)],
         [-w for w in W])
-

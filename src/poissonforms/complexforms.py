@@ -16,7 +16,8 @@ import random
 
 from .bracket import (PoissonStructure, SamplePlan, _generators,
                       _split_pair_checks, random_form)
-from .canonical import Frame, _check_realizations, _quadratic_constants
+from .canonical import (Frame, _accumulate, _check_realizations,
+                        _quadratic_constants)
 from .forms import DiffForm
 from .geometry import (Tensor, _add_first_nonzero, _component,
                        coord_signature, covariant_derivative,
@@ -99,19 +100,19 @@ def verify_complex_axioms(s: PoissonStructure,
     rep.add("potential-conjugation", ok,
             "0" if ok else "coordinate pairing is not an involution")
 
+    # conj(Rt[x]) + Rt[pr(x)]; pr is an involution, so Rt[y] lands on pr(y)
     Rt = cons.Rt
-    idxs = list(itertools.product(range(n), repeat=4))
-    _add_first_nonzero(rep, "curvature-conjugation", (
-        ((A, B, C, D),
-         Rt[A][B][C][D].conjugate() + Rt[pr[A]][pr[B]][pr[C]][pr[D]])
-        for A, B, C, D in idxs))
+    conj = _accumulate(itertools.chain(
+        ((idx, v.conjugate()) for idx, v in Rt.items()),
+        ((tuple(pr[j] for j in idx), v) for idx, v in Rt.items())))
+    _add_first_nonzero(rep, "curvature-conjugation", sorted(conj.items()))
 
     def antiholo(js):
         return sum(1 for j in js if not chart.is_holo(j))
 
-    _add_first_nonzero(rep, "curvature-vanishing-pattern", (
-        ((A, B, C, D), Rt[A][B][C][D]) for A, B, C, D in idxs
-        if antiholo((A, B)) != antiholo((C, D))))
+    _add_first_nonzero(rep, "curvature-vanishing-pattern", sorted(
+        (idx, v) for idx, v in Rt.items()
+        if antiholo(idx[:2]) != antiholo(idx[2:])))
     return rep
 
 
@@ -140,7 +141,7 @@ def eta_forms(s: PoissonStructure, fr: Frame, plan: SamplePlan | None = None):
     diff = eta.star() + etabar
     rep.add("eta-conjugation", diff.is_zero(), str(diff))
 
-    on_forms = cons.linear_part_vanishes()
+    on_forms = not cons.f
     _check_realizations(rep, s, plan or SamplePlan(), [
         (eta, DiffForm.d_holo, ("eta-on-coordinates", "eta-exterior-sampled",
                                 "eta-exterior-forms")),
@@ -189,11 +190,11 @@ def kahler_form(s: PoissonStructure, fr: Frame, h=None,
         if cons is None:
             raise ValueError("the default two-form needs a coefficient "
                              "matrix quadratic in the coordinates")
-        if not cons.linear_part_vanishes():
+        if cons.f:
             raise ValueError("the default two-form needs a vanishing "
                              "linear part")
-        hmat = [[cons.g[A][B] if A in holo_rows and B in anti_rows else zero
-                 for B in range(n)] for A in range(n)]
+        hmat = [[cons.g.get((A, B), zero) if A in holo_rows and B in anti_rows
+                 else zero for B in range(n)] for A in range(n)]
     else:
         hmat = [[GaussianRational.coerce(v) for v in row] for row in h]
         if len(hmat) != n or any(len(row) != n for row in hmat):
@@ -225,13 +226,12 @@ def kahler_form(s: PoissonStructure, fr: Frame, h=None,
         for name, d, rows in (
                 ("delta-eta-frame", eta.d_holo, holo_rows),
                 ("deltabar-etabar-frame", etabar.d_antiholo, anti_rows)):
-            diff = d() - fr.two_form({(A, B): cons.g[A][B]
-                                      for A in rows for B in rows})
+            diff = d() - fr.two_form({(A, B): v for (A, B), v in cons.g.items()
+                                      if A in rows and B in rows})
             rep.add(name, diff.is_zero(), str(diff))
 
-        unmixed = all(cons.g[A][B].is_zero()
-                      for rows in (holo_rows, anti_rows)
-                      for A in rows for B in rows)
+        unmixed = not any((A in holo_rows) == (B in holo_rows)
+                          for A, B in cons.g)
         if unmixed:
             rep.add("eta-closed", eta.d_holo().is_zero(), str(eta.d_holo()))
             rep.add("etabar-closed", etabar.d_antiholo().is_zero(),

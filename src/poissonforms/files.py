@@ -42,12 +42,6 @@ def _expect_str(v, what: str) -> str:
     return v
 
 
-def _index(v, dim: int, what: str) -> int:
-    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < dim:
-        raise ValueError(f"{what} must be an index in [0, {dim})")
-    return v
-
-
 # -- exact scalars --------------------------------------------------------
 
 
@@ -129,25 +123,12 @@ _ENTRY_KEYS = {"Rt": ("A", "B", "C", "D"), "f": ("A", "B", "C"), "g": ("A", "B")
 
 def constants_to_dict(c: CanonicalConstants) -> dict:
     d = {"dim": c.dim}
-    arrays = {"Rt": c.Rt, "f": c.f, "g": c.g}
     for field, keys in _ENTRY_KEYS.items():
-        entries = []
-        for idx, v in _walk(arrays[field], len(keys)):
-            if not v.is_zero():
-                entry = dict(zip(keys, idx))
-                entry["value"] = scalar_to_dict(v)
-                entries.append(entry)
+        entries = getattr(c, field)
         if entries:
-            d[field] = entries
+            d[field] = [dict(zip(keys, idx), value=scalar_to_dict(entries[idx]))
+                        for idx in sorted(entries)]
     return d
-
-
-def _walk(arr, rank, prefix=()):
-    if rank == 0:
-        yield prefix, arr
-        return
-    for k, sub in enumerate(arr):
-        yield from _walk(sub, rank - 1, prefix + (k,))
 
 
 def constants_from_dict(d) -> CanonicalConstants:
@@ -160,7 +141,7 @@ def constants_from_dict(d) -> CanonicalConstants:
         entries = []
         for raw in _expect_list(d.get(field, []), field):
             raw = _expect_dict(raw, f"{field} entry")
-            idx = tuple(_index(raw.get(k), dim, f"{field}.{k}") for k in keys)
+            idx = tuple(raw.get(k) for k in keys)
             entries.append(idx + (scalar_from_dict(raw.get("value"), f"{field}.value"),))
         parsed[field] = entries
     return CanonicalConstants.from_entries(dim, rt=parsed["Rt"],

@@ -13,14 +13,20 @@ divisor.  Multiplication is never implicit.
 
 Hostile input is refused with a ParseError instead of exhausting the
 stack or the clock: factors (parentheses, signs, wedges) nest at most
-MAX_DEPTH deep, and the exponents of nested powers multiply to at most
-MAX_EXPONENT in magnitude, so ((x+1)^k)^k counts as the exponent k*k.
-The size of products is not bounded.
+MAX_DEPTH deep, the exponents of nested powers multiply to at most
+MAX_EXPONENT in magnitude, so ((x+1)^k)^k counts as the exponent k*k,
+and no product, quotient, wedge or power is expanded when its predicted
+size exceeds MAX_TERMS terms.  A value's size is the number of terms of
+the larger of numerator and denominator, summed over its coefficients;
+a product is predicted to have the product of its operands' sizes, and
+a power p^n of a value of size t the C(t+n-1, n) monomials of degree n
+in t terms.
 """
 
 from __future__ import annotations
 
 import re as _re
+from math import comb
 
 from .forms import DiffForm
 from .ratexpr import Chart, RatExpr
@@ -33,12 +39,18 @@ _TOKEN_RE = _re.compile(
 
 MAX_DEPTH = 64
 MAX_EXPONENT = 100
+MAX_TERMS = 1000
 
 
 class ParseError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
+
+
+def _size(form: DiffForm) -> int:
+    return sum(max(len(c.num.terms), len(c.den.terms))
+               for c in form.parts.values())
 
 
 def _tokenize(text: str):
@@ -86,6 +98,11 @@ class _Parser:
         if kind != "sym" or val != sym:
             raise ParseError(f"expected {sym!r}", pos)
 
+    def _expand(self, predicted: int, pos: int) -> None:
+        if predicted > MAX_TERMS:
+            raise ParseError(f"expansion predicted to exceed {MAX_TERMS} "
+                             "terms", pos)
+
     def parse(self) -> DiffForm:
         out = self.expr()
         kind, val, pos = self._peek()
@@ -111,6 +128,7 @@ class _Parser:
             if kind == "sym" and val in "*/":
                 self.k += 1
                 rhs = self.factor()
+                self._expand(_size(out) * _size(rhs), pos)
                 if val == "*":
                     out = out * rhs
                 else:
@@ -150,9 +168,11 @@ class _Parser:
                 if self.exponent > MAX_EXPONENT:
                     raise ParseError(
                         f"exponent above {MAX_EXPONENT}, counting nested powers", pos)
-                sc = out.scalar_part()
-                return DiffForm.from_scalar(sc ** n)
+                t = _size(out)
+                self._expand(comb(t + abs(n) - 1, abs(n)), pos)
+                return DiffForm.from_scalar(out.scalar_part() ** n)
             rhs = self.factor()
+            self._expand(_size(out) * _size(rhs), pos)
             return out * rhs
         return out
 

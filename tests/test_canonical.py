@@ -34,11 +34,9 @@ QUICK = SamplePlan(count=4)
 
 
 def darboux_constants(dim):
-    g = [[0] * dim for _ in range(dim)]
-    for k in range(0, dim, 2):
-        g[k][k + 1] = 1
-        g[k + 1][k] = -1
-    return CanonicalConstants(dim, g=g)
+    return CanonicalConstants.from_entries(
+        dim, g=[e for k in range(0, dim, 2) for e in ((k, k + 1, 1),
+                                                      (k + 1, k, -1))])
 
 
 def sphere_real_constants():
@@ -83,20 +81,43 @@ def cybe_violating_constants():
             (1, 2, 0, 0, -1), (2, 0, 0, 0, 1), (2, 1, 0, 0, 1)])
 
 
+def entry(T, *idx):
+    """A component of sparse constants; absent entries are zero."""
+    return T.get(idx, GaussianRational(0))
+
+
 def failure_names(rep):
     return sorted(c.name for c in rep.failures)
 
 
 def test_constants_shape_and_coercion():
     c = darboux_constants(2)
-    assert c.g[0][1] == GaussianRational(1)
-    assert c.Rt[0][0][0][0].is_zero()
+    assert entry(c.g, 0, 1) == GaussianRational(1)
+    assert entry(c.Rt, 0, 0, 0, 0).is_zero()
     with pytest.raises(ValueError):
-        CanonicalConstants(0)
+        CanonicalConstants.from_entries(0)
     with pytest.raises(ValueError):
-        CanonicalConstants(2, g=[[0, 1]])
+        CanonicalConstants.from_entries(2, g=[(0, 1)])
     d = CanonicalConstants.from_entries(2, g=[(0, 1, Fraction(1, 2)), (1, 0, Fraction(-1, 2))])
-    assert d.g[0][1] == GaussianRational(Fraction(1, 2))
+    assert entry(d.g, 0, 1) == GaussianRational(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("entries", [
+    {"g": [(-1, 0, 1)]}, {"g": [(2, 0, 1)]}, {"g": [(0, 1)]},
+    {"g": [(0, 1, 0, 1)]}, {"f": [(0, 1, 2, 1)]}, {"f": [(0, 1, 1, 0, 1)]},
+    {"rt": [(0, 1, 0, 5, 1)]}, {"rt": [(0, 1, 0, 1)]}])
+def test_from_entries_rejects_bad_entries(entries):
+    """A negative or too large index, or the wrong number of indices, is
+    refused instead of written somewhere else or raising IndexError."""
+    with pytest.raises(ValueError):
+        CanonicalConstants.from_entries(2, **entries)
+
+
+def test_from_entries_keeps_nonzero_entries():
+    c = CanonicalConstants.from_entries(
+        2, g=[(0, 1, 3), (0, 1, 1), (1, 0, 0)], f=[(1, 1, 0, 0)])
+    assert c.g == {(0, 1): GaussianRational(1)}
+    assert c.f == {}
 
 
 def test_check_constants_trivial_pass():
@@ -176,7 +197,7 @@ def test_build_darboux(dim):
     assert s.chart.names == tuple(f"u{k + 1}" for k in range(dim))
     for A in range(dim):
         for B in range(dim):
-            assert s.P[A][B] == RatExpr.const(s.chart, c.g[A][B])
+            assert s.P[A][B] == RatExpr.const(s.chart, entry(c.g, A, B))
             for C in range(dim):
                 assert s.Gamma[A][B][C].is_zero()
     assert check_integrability(s).passed
@@ -189,7 +210,7 @@ def test_build_rejects_bad_input():
     with pytest.raises(ValueError):
         build_canonical(cybe_violating_constants())
     with pytest.raises(ValueError):
-        build_canonical(CanonicalConstants(2))
+        build_canonical(CanonicalConstants.from_entries(2))
     with pytest.raises(ValueError):
         build_canonical(darboux_constants(2), Chart(("x", "y", "z")))
 
@@ -207,7 +228,8 @@ def test_build_fixture_battery(make):
     # twisted curvature moved to the frame equals the stored constants
     Rtf = frame_curvature(s, fr)
     for A, B, C, D in itertools.product(range(n), repeat=4):
-        assert (Rtf[A][B][C][D] - RatExpr.const(s.chart, c.Rt[C][D][A][B])).is_zero()
+        assert (Rtf.get((A, B, C, D), RatExpr.zero(s.chart))
+                - RatExpr.const(s.chart, entry(c.Rt, C, D, A, B))).is_zero()
     # torsion contracted into the frame equals the derivative of P
     T = torsion(s)
     Pinv = invert_matrix(s.P)
@@ -217,7 +239,7 @@ def test_build_fixture_battery(make):
         for E, F, G in itertools.product(range(n), repeat=3):
             acc = acc + Pinv[A][E] * T[E, F, G] * s.P[F][B] * s.P[G][C]
         assert (acc - s.P[B][C].diff(A)).is_zero()
-        assert acc.eval_at(origin) == c.f[B][C][A]
+        assert acc.eval_at(origin) == entry(c.f, B, C, A)
     # twisted curvature equals the covariant derivative of torsion
     assert flat_twist_residual(s).is_zero()
 
@@ -316,15 +338,17 @@ def test_find_torsion_zero_unique():
     assert t.V == [GaussianRational(-1), GaussianRational(-2)]
     assert t.N == CanonicalTransform.identity(2).N
     c2 = transform_constants(c, t)
-    assert all(c2.f[A][B][C].is_zero()
+    assert all(entry(c2.f, A, B, C).is_zero()
                for A in range(2) for B in range(2) for C in range(2))
     assert c2.Rt == c.Rt
-    assert c2.g[0][1] == GaussianRational(Fraction(-3, 2))
+    assert entry(c2.g, 0, 1) == GaussianRational(Fraction(-3, 2))
 
 
 def test_find_torsion_zero_edges():
-    t = find_torsion_zero(sphere_real_constants())
-    assert t.V == [GaussianRational(0), GaussianRational(0)]
+    for c in (sphere_real_constants(), darboux_constants(2)):
+        t = find_torsion_zero(c)
+        assert t.V == [GaussianRational(0), GaussianRational(0)]
+        assert t.N == CanonicalTransform.identity(2).N
     assert find_torsion_zero(affine_constants()) is None
 
 
@@ -346,16 +370,16 @@ def test_transform_translation_oracle():
     for A in range(2):
         for B in range(2):
             for C in range(2):
-                want = c.f[A][B][C] - sum(
-                    (c.Rt[A][B][C][D] * t.V[D] for D in range(2)),
+                want = entry(c.f, A, B, C) - sum(
+                    (entry(c.Rt, A, B, C, D) * t.V[D] for D in range(2)),
                     GaussianRational(0))
-                assert ct.f[A][B][C] == want
-            want = c.g[A][B] - sum(
-                (c.f[A][B][C] * t.V[C] for C in range(2)), GaussianRational(0))
+                assert entry(ct.f, A, B, C) == want
+            want = entry(c.g, A, B) - sum(
+                (entry(c.f, A, B, C) * t.V[C] for C in range(2)), GaussianRational(0))
             for C in range(2):
                 for D in range(2):
-                    want = want + half * c.Rt[A][B][C][D] * t.V[C] * t.V[D]
-            assert ct.g[A][B] == want
+                    want = want + half * entry(c.Rt, A, B, C, D) * t.V[C] * t.V[D]
+            assert entry(ct.g, A, B) == want
 
 
 def test_transform_rotation_oracle():
@@ -364,10 +388,10 @@ def test_transform_rotation_oracle():
     ct = transform_constants(c, t)
     for A in range(2):
         for B in range(2):
-            want = sum((t.N[A][E] * c.g[E][F] * t.N[B][F]
+            want = sum((t.N[A][E] * entry(c.g, E, F) * t.N[B][F]
                         for E in range(2) for F in range(2)),
                        GaussianRational(0))
-            assert ct.g[A][B] == want
+            assert entry(ct.g, A, B) == want
 
 
 def test_transform_rejects_singular():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -435,6 +436,21 @@ def test_hostile_expressions_exit_two(tmp_path, capsys):
                              "10^100000000", "--b", "0", "--c", "1")
     assert (code, out) == (2, "")
     assert "exponent above" in err
+
+
+@pytest.mark.parametrize("entry", [
+    "(a+b+c+d+1)^16", "(a+b+c+d+1)^24",
+    "*".join(f"(a+{k}*b+c+d+{k})" for k in range(1, 9))])
+def test_oversized_expansion_exits_two(tmp_path, capsys, entry):
+    zero = ["0"] * 4
+    path = write_json(tmp_path / "big.json",
+                      {"chart": {"coords": ["a", "b", "c", "d"], "kind": "real"},
+                       "P": [["0", entry, "0", "0"], zero, zero, zero]})
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "verify", path)
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "predicted to exceed" in err
 
 
 @pytest.mark.parametrize("command", [["verify"], ["report"],

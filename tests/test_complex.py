@@ -69,7 +69,7 @@ def sphere_build():
 
 def flat_build():
     return build_canonical(
-        CanonicalConstants(2, g=[[0, 1], [-1, 0]]), zchart())
+        CanonicalConstants.from_entries(2, g=[(0, 1, 1), (1, 0, -1)]), zchart())
 
 
 def linear_constants():

@@ -1,8 +1,10 @@
 """Differential oracle: the exact expression core against sympy.
 
 Small random polynomials over Q(i) in two variables go through RatExpr
-arithmetic, `diff` and `poly_gcd`, and the results are compared with
-sympy's `cancel`, `diff` and `gcd` on the same input.  A RatExpr must be
+arithmetic, `diff`, `subst`, `eval_at` and `poly_gcd`, and the results
+are compared with sympy's `cancel`, `diff`, `subs` and `gcd` on the same
+input; a substitution or point that makes the denominator vanish must
+raise ZeroDivisionError.  A RatExpr must be
 the same rational function as sympy's, fully reduced (its denominator
 differs from sympy's by a constant factor only) and have a monic
 denominator.
@@ -118,3 +120,47 @@ def test_constant_denominators_scale_the_numerator(p, c):
         want = _sym_poly(p) if den is None else _sym_poly(p) / _sym_poly(den)
         _assert_agrees(got, want)
         assert got.den == unit
+
+
+def _subs(expr, u, v):
+    return expr.subs(dict(zip(SYMBOLS, (u, v))), simultaneous=True)
+
+
+_values = st.builds(lambda n, d: RatExpr(CHART, n, d), _factors, _factors)
+
+
+@ORACLE
+@given(_ratexprs(), _values, _values)
+def test_subst_matches_sympy(a, u, v):
+    su, sv = _sym(u), _sym(v)
+    if sympy.cancel(_subs(_sym_poly(a.den), su, sv)) == 0:
+        with pytest.raises(ZeroDivisionError):
+            a.subst([u, v])
+    else:
+        _assert_agrees(a.subst([u, v]), _subs(_sym(a), su, sv))
+
+
+@ORACLE
+@given(_ratexprs(), _coeffs, _coeffs)
+def test_eval_at_matches_sympy(a, p, q):
+    sp, sq = _sym_scalar(p), _sym_scalar(q)
+    if sympy.expand(_subs(_sym_poly(a.den), sp, sq)) == 0:
+        with pytest.raises(ZeroDivisionError):
+            a.eval_at([p, q])
+    else:
+        want = _subs(_sym(a), sp, sq)
+        assert sympy.expand(_sym_scalar(a.eval_at([p, q])) - want) == 0
+
+
+@ORACLE
+@given(_bodies, _factors, _coeffs, _coeffs, _values)
+def test_subst_and_eval_at_a_pole(num, other, p, q, v):
+    """With a denominator divisible by x - p, x = p is a pole whatever y
+    is, unless the numerator cancels that factor."""
+    a = RatExpr(CHART, num, (Poly.variable(2, 0) - Poly.const(2, p)) * other)
+    sp, sq = _sym_scalar(p), _sym_scalar(q)
+    assume(sympy.expand(_subs(_sym_poly(a.den), sp, sq)) == 0)
+    with pytest.raises(ZeroDivisionError):
+        a.eval_at([p, q])
+    with pytest.raises(ZeroDivisionError):
+        a.subst([RatExpr.const(CHART, p), v])

@@ -1,7 +1,7 @@
 import pytest
 
-from poissonforms.parsing import (MAX_DEPTH, MAX_EXPONENT, ParseError,
-                                  parse_form, parse_scalar)
+from poissonforms.parsing import (MAX_DEPTH, MAX_EXPONENT, MAX_TERMS,
+                                  ParseError, parse_form, parse_scalar)
 from poissonforms.printing import form_str, ratexpr_str
 from poissonforms.ratexpr import Chart, RatExpr
 from poissonforms.scalars import GaussianRational
@@ -81,6 +81,26 @@ def test_exponent_is_bounded(ch):
                  "(2*(y + x^11)^3)^4", "-(x^-2)^51"):
         with pytest.raises(ParseError, match="exponent above"):
             parse_scalar(text, ch)
+
+
+def test_expansion_size_is_bounded():
+    """Products, quotients, wedges and powers are refused before they are
+    expanded when the predicted term count exceeds MAX_TERMS."""
+    ch = Chart(("a", "b", "c", "d"))
+    assert MAX_TERMS == 1000
+    # (a+b+c+d+1)^9 has C(13, 9) = 715 terms; ^10 would have 1001
+    assert len(parse_scalar("(a+b+c+d+1)^9", ch).num.terms) == 715
+    assert len(parse_scalar("(a+b+c+d+1)^-9", ch).den.terms) == 715
+    six = "*".join(f"(a+{k}*b+c+d+{k})" for k in range(1, 7))
+    assert len(parse_scalar(six, ch).num.terms) == 210
+    for text in ("(a+b+c+d+1)^10", "(a+b+c+d+1)^-10", "(a+b+c+d+1)^16",
+                 six + "*(a+b+c+d+7)", six + "/(a+b+c+d+7)",
+                 "(a+b)^40*(c+d)^40"):
+        with pytest.raises(ParseError, match="predicted to exceed"):
+            parse_scalar(text, ch)
+    # a wedge of forms is a product of their sizes as well
+    with pytest.raises(ParseError, match="predicted to exceed"):
+        parse_form("(a+b+c+d+1)^4*d[a]^(a+b+c+d+1)^4*d[b]", ch)
 
 
 def test_form_grammar(czx):
