@@ -98,7 +98,7 @@ class _Parser:
         if kind != "sym" or val != sym:
             raise ParseError(f"expected {sym!r}", pos)
 
-    def _expand(self, predicted: int, pos: int) -> None:
+    def _check_size(self, predicted: int, pos: int) -> None:
         if predicted > MAX_TERMS:
             raise ParseError(f"expansion predicted to exceed {MAX_TERMS} "
                              "terms", pos)
@@ -128,7 +128,7 @@ class _Parser:
             if kind == "sym" and val in "*/":
                 self.k += 1
                 rhs = self.factor()
-                self._expand(_size(out) * _size(rhs), pos)
+                self._check_size(_size(out) * _size(rhs), pos)
                 if val == "*":
                     out = out * rhs
                 else:
@@ -169,10 +169,10 @@ class _Parser:
                     raise ParseError(
                         f"exponent above {MAX_EXPONENT}, counting nested powers", pos)
                 t = _size(out)
-                self._expand(comb(t + abs(n) - 1, abs(n)), pos)
+                self._check_size(comb(t + abs(n) - 1, abs(n)), pos)
                 return DiffForm.from_scalar(out.scalar_part() ** n)
             rhs = self.factor()
-            self._expand(_size(out) * _size(rhs), pos)
+            self._check_size(_size(out) * _size(rhs), pos)
             return out * rhs
         return out
 
