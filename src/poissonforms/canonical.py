@@ -8,12 +8,14 @@ validates the constants, builds the structure and its frame, transforms
 constants under affine changes of the coordinates, and finds torsion
 zeros.
 
-Storage: Rt, f and g are dicts {index tuple: value} holding only the
-nonzero entries, Rt keyed (A,B,C,D), f keyed (A,B,C) and g keyed (A,B).
-Rt is antisymmetric in (A,B) and symmetric in (C,D); f is antisymmetric
-in (A,B); g antisymmetric.  Every law over them is a sparse contraction
-(`_contract`, an einsum that visits only nonzero entries), so its cost
-follows the number of nonzero entries, not the dimension.
+Storage: Rt, f and g use the tensor storage of the geometry module,
+dicts {index tuple: value} holding only the nonzero entries, with Rt
+keyed (A,B,C,D), f keyed (A,B,C) and g keyed (A,B).  Rt is antisymmetric
+in (A,B) and symmetric in (C,D); f is antisymmetric in (A,B); g
+antisymmetric.  Every law over them, and the connection and frame
+curvature of the built structure, is a sparse contraction with the
+geometry helpers (`_contract`, `_sum`), so its cost follows the number
+of nonzero entries, not the dimension.
 """
 
 from __future__ import annotations
@@ -24,65 +26,14 @@ from fractions import Fraction
 
 from .bracket import PoissonStructure, SamplePlan, random_scalar, random_form
 from .forms import DiffForm
-from .geometry import _add_first_nonzero, _component, curvature
+from .geometry import (Tensor, _accumulate, _add_first_nonzero, _component,
+                       _contract, _entries, _gradient, _sum, coord_signature,
+                       curvature)
 from .linalg import identity_matrix, invert_matrix, mat_mul, solve
 from .polynomials import Poly
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
 from .scalars import GaussianRational, ZERO
-
-
-def _accumulate(pairs) -> dict:
-    """The nonzero sums of the values of the (index, value) pairs,
-    grouped by index."""
-    acc = {}
-    for idx, v in pairs:
-        acc[idx] = acc[idx] + v if idx in acc else v
-    return {idx: v for idx, v in acc.items() if not v.is_zero()}
-
-
-def _contract(spec: str, *tensors) -> dict:
-    """Sparse einsum over {index tuple: value} dicts of nonzero entries.
-
-    `spec` names the slots of each operand and of the result, as in
-    "abk,kc->abc"; a letter missing from the result is summed over, and a
-    letter may appear only once in each operand.  Only combinations of
-    nonzero entries that agree on their shared letters are visited.
-    Returns the nonzero entries of the result."""
-    ins, out = spec.split("->")
-    letters = ""
-    # (values of `letters`, product of the entries so far) per combination
-    partial = [((), None)]
-    for sub, T in zip(ins.split(","), tensors):
-        shared = [(k, letters.index(ch)) for k, ch in enumerate(sub)
-                  if ch in letters]
-        new = [k for k, ch in enumerate(sub) if ch not in letters]
-        matches = {}
-        for idx, v in T.items():
-            matches.setdefault(tuple(idx[k] for k, _ in shared),
-                               []).append((idx, v))
-        partial = [(vals + tuple(idx[k] for k in new),
-                    v if prod is None else prod * v)
-                   for vals, prod in partial
-                   for idx, v in matches.get(
-                       tuple(vals[j] for _, j in shared), ())]
-        letters += "".join(sub[k] for k in new)
-    place = [letters.index(ch) for ch in out]
-    return _accumulate((tuple(vals[j] for j in place), prod)
-                       for vals, prod in partial)
-
-
-def _sum(terms) -> dict:
-    """The nonzero entries of the sum of k * _contract(spec, *operands)
-    over the terms (k, spec, operands)."""
-    return _accumulate((idx, k * v) for k, spec, operands in terms
-                       for idx, v in _contract(spec, *operands).items())
-
-
-def _matrix_entries(M) -> dict:
-    """The nonzero entries of a matrix (list of rows) keyed (row, column)."""
-    return {(i, j): v for i, row in enumerate(M) for j, v in enumerate(row)
-            if not v.is_zero()}
 
 
 def _entry_dict(dim: int, name: str, rank: int, entries) -> dict:
@@ -335,15 +286,9 @@ def build_canonical(c: CanonicalConstants, chart: Chart | None = None):
     if Pinv is None:
         raise ValueError("P is identically singular")
     n = c.dim
-    G = [[[RatExpr.zero(chart)] * n for _ in range(n)] for _ in range(n)]
-    for A in range(n):
-        for B in range(n):
-            for C in range(n):
-                acc = RatExpr.zero(chart)
-                for D in range(n):
-                    acc = acc + P[A][D] * Pinv[D][C].diff(B)
-                G[A][B][C] = acc
-    s = PoissonStructure(chart, P, G)
+    G = _contract("ad,dcb->abc", _entries(P, 2), _gradient(_entries(Pinv, 2), n))
+    s = PoissonStructure(
+        chart, P, Tensor._of(chart, coord_signature("udd"), G).to_lists())
     phi = [RatExpr.variable(chart, k) for k in range(n)]
     fr = Frame(chart, P, Pinv, phi)
     return s, fr
@@ -353,10 +298,10 @@ def frame_curvature(s: PoissonStructure, fr: Frame) -> dict:
     """The nonzero components {(A, B, C, D): value} of the twisted
     curvature moved to the frame basis: contract with P_{AE} on the up
     slot and P on the two form slots."""
-    T = dict(curvature(s, "tilde").nonzero_components())
-    T = _contract("ebfg,ae->abfg", T, _matrix_entries(fr.Minv))
-    T = _contract("abfg,cf->abcg", T, _matrix_entries(fr.M))
-    return _contract("abcg,dg->abcd", T, _matrix_entries(fr.M))
+    T = _contract("ebfg,ae->abfg", curvature(s, "tilde").components,
+                  _entries(fr.Minv, 2))
+    T = _contract("abfg,cf->abcg", T, _entries(fr.M, 2))
+    return _contract("abcg,dg->abcd", T, _entries(fr.M, 2))
 
 
 def e_basis(s: PoissonStructure, fr: Frame):
@@ -391,9 +336,8 @@ def transform_constants(c: CanonicalConstants, t: CanonicalTransform) -> Canonic
     n = c.dim
     if len(t.N) != n:
         raise ValueError("transform dimension does not match constants")
-    N, Ninv = _matrix_entries(t.N), _matrix_entries(t.Ninv)
-    W = _contract("gh,h->g", Ninv,
-                  {(h,): v for h, v in enumerate(t.V) if not v.is_zero()})
+    N, Ninv = _entries(t.N, 2), _entries(t.Ninv, 2)
+    W = _contract("gh,h->g", Ninv, _entries(t.V, 1))
     f = _sum([(1, "efg->efg", [c.f]), (-1, "efgh,h->efg", [c.Rt, W])])
     g = _sum([(1, "ef->ef", [c.g]), (-1, "efg,g->ef", [c.f, W]),
               (Fraction(1, 2), "efgh,g,h->ef", [c.Rt, W, W])])

@@ -16,11 +16,10 @@ import random
 
 from .bracket import (PoissonStructure, SamplePlan, _generators,
                       _split_pair_checks, random_form)
-from .canonical import (Frame, _accumulate, _check_realizations,
-                        _quadratic_constants)
+from .canonical import Frame, _check_realizations, _quadratic_constants
 from .forms import DiffForm
-from .geometry import (Tensor, _add_first_nonzero, _component,
-                       coord_signature, covariant_derivative,
+from .geometry import (Tensor, _accumulate, _add_first_nonzero, _component,
+                       _entries, _sum, coord_signature, covariant_derivative,
                        off_block_components)
 from .linalg import det_matrix
 from .ratexpr import Chart, RatExpr
@@ -182,7 +181,6 @@ def kahler_form(s: PoissonStructure, fr: Frame, h=None,
     _require_complex(chart)
     holo_rows, anti_rows = frame_split(chart, fr)
     n = chart.n
-    zero = GaussianRational(0)
     rep = VerificationReport()
 
     if h is None:
@@ -193,26 +191,22 @@ def kahler_form(s: PoissonStructure, fr: Frame, h=None,
         if cons.f:
             raise ValueError("the default two-form needs a vanishing "
                              "linear part")
-        hmat = [[cons.g.get((A, B), zero) if A in holo_rows and B in anti_rows
-                 else zero for B in range(n)] for A in range(n)]
+        H = {(A, B): v for (A, B), v in cons.g.items()
+             if A in holo_rows and B in anti_rows}
     else:
         hmat = [[GaussianRational.coerce(v) for v in row] for row in h]
         if len(hmat) != n or any(len(row) != n for row in hmat):
             raise ValueError("frame metric must be an n x n matrix")
-        for A in range(n):
-            for B in range(n):
-                if hmat[A][B].is_zero():
-                    continue
-                if A not in holo_rows or B not in anti_rows:
-                    raise ValueError("frame metric must pair holomorphic "
-                                     "rows with antiholomorphic ones")
+        H = _entries(hmat, 2)
+        if any(A not in holo_rows or B not in anti_rows for A, B in H):
+            raise ValueError("frame metric must pair holomorphic "
+                             "rows with antiholomorphic ones")
         block = [[RatExpr.const(chart, hmat[A][B]) for B in anti_rows]
                  for A in holo_rows]
         if len(holo_rows) != len(anti_rows) or det_matrix(block).is_zero():
             raise ValueError("degenerate frame metric")
 
-    frameK = fr.two_form({(A, B): hmat[A][B]
-                          for A in holo_rows for B in anti_rows})
+    frameK = fr.two_form(H)
 
     if h is None:
         eta = fr.potential_form(holo_rows)
@@ -258,19 +252,12 @@ def kahler_form(s: PoissonStructure, fr: Frame, h=None,
     _check_realizations(rep, s, plan or SamplePlan(), [
         (K, lambda w: DiffForm.zero(chart), (central, central, None))], False)
 
-    lowered = [[RatExpr.zero(chart) for _ in range(n)] for _ in range(n)]
-    for A in holo_rows:
-        for B in anti_rows:
-            if hmat[A][B].is_zero():
-                continue
-            c = RatExpr.const(chart, hmat[A][B])
-            for al in range(n):
-                for be in range(n):
-                    term = c * fr.Minv[A][al] * fr.Minv[B][be]
-                    lowered[al][be] = lowered[al][be] + term
-                    lowered[be][al] = lowered[be][al] + term
+    # the lowered metric h_{AB} (Minv^A_a Minv^B_b + Minv^A_b Minv^B_a)
+    Minv = _entries(fr.Minv, 2)
+    lowered = _sum((1, spec, [H, Minv, Minv])
+                   for spec in ("AB,Aa,Bb->ab", "AB,Ab,Ba->ab"))
     T = covariant_derivative(
-        Tensor(chart, coord_signature("dd"), lowered), s, "gamma")
+        Tensor._of(chart, coord_signature("dd"), lowered), s, "gamma")
     bad = next(T.nonzero_components(), None)
     rep.add("metric-covariant-derivative", bad is None,
             "0" if bad is None else str(bad[1]),

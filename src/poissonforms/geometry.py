@@ -4,8 +4,14 @@ Torsion, curvature and covariant derivatives for the connection Gamma and
 its twist (lower indices swapped), the integrability report, and the
 connection determined by a covariantly constant metric.
 
-Index storage follows the bracket module: Gamma[a][b][c] has up index a,
-direction b, form index c; the twisted connection swaps b and c.
+Index storage: a tensor is a dict {index tuple: value} holding only its
+nonzero components; Gamma^a_{bc} is keyed (a, b, c) with up index a,
+direction b and form index c, as in the bracket module, and a gradient
+appends the direction of the derivative as the last index.  Every law is
+a sparse contraction (`_contract`, an einsum that visits only nonzero
+entries) or a sum of a few, so its cost follows the number of nonzero
+components, not the dimension.  The package's other sparse laws, over
+constants and frames, use the same helpers.
 """
 
 from __future__ import annotations
@@ -34,54 +40,145 @@ def coord_signature(spec: str) -> tuple:
     return tuple(out)
 
 
+def _accumulate(pairs) -> dict:
+    """The nonzero sums of the values of the (index, value) pairs,
+    grouped by index."""
+    acc = {}
+    for idx, v in pairs:
+        acc[idx] = acc[idx] + v if idx in acc else v
+    return {idx: v for idx, v in acc.items() if not v.is_zero()}
+
+
+def _contract(spec: str, *tensors) -> dict:
+    """Sparse einsum over {index tuple: value} dicts of nonzero entries.
+
+    `spec` names the slots of each operand and of the result, as in
+    "abk,kc->abc"; a letter missing from the result is summed over, and a
+    letter may appear only once in each operand.  Only combinations of
+    nonzero entries that agree on their shared letters are visited.
+    Returns the nonzero entries of the result."""
+    ins, out = spec.split("->")
+    letters = ""
+    # (values of `letters`, product of the entries so far) per combination
+    partial = [((), None)]
+    for sub, T in zip(ins.split(","), tensors):
+        shared = [(k, letters.index(ch)) for k, ch in enumerate(sub)
+                  if ch in letters]
+        new = [k for k, ch in enumerate(sub) if ch not in letters]
+        matches = {}
+        for idx, v in T.items():
+            matches.setdefault(tuple(idx[k] for k, _ in shared),
+                               []).append((idx, v))
+        partial = [(vals + tuple(idx[k] for k in new),
+                    v if prod is None else prod * v)
+                   for vals, prod in partial
+                   for idx, v in matches.get(
+                       tuple(vals[j] for _, j in shared), ())]
+        letters += "".join(sub[k] for k in new)
+    place = [letters.index(ch) for ch in out]
+    return _accumulate((tuple(vals[j] for j in place), prod)
+                       for vals, prod in partial)
+
+
+def _sum(terms) -> dict:
+    """The nonzero entries of the sum of k * _contract(spec, *operands)
+    over the terms (k, spec, operands)."""
+    # Signs are applied without multiplying: a product with a constant
+    # reduces a rational expression again, which takes a gcd.
+    return _accumulate((idx, v if k == 1 else -v if k == -1 else k * v)
+                       for k, spec, operands in terms
+                       for idx, v in _contract(spec, *operands).items())
+
+
+def _entries(nested, rank: int) -> dict:
+    """The nonzero entries of a nested array (rank levels of lists) keyed
+    by index tuple, in index order."""
+    if rank == 0:
+        return {} if nested.is_zero() else {(): nested}
+    return {(i,) + idx: v for i, sub in enumerate(nested)
+            for idx, v in _entries(sub, rank - 1).items()}
+
+
+def _gradient(T: dict, n: int) -> dict:
+    """The nonzero derivatives of the entries of T along each of the n
+    coordinates, keyed by the entry's index with the coordinate appended."""
+    return {idx + (k,): dv for idx, v in T.items() for k in range(n)
+            if not (dv := v.diff(k)).is_zero()}
+
+
 class Tensor:
-    """Dense component array over a chart with an index signature.
+    """Component array over a chart with an index signature.
 
     Every slot runs over the chart dimension; signature entries are
     (position, kind) with position "up"/"down" and kind
     "coordinate"/"frame" so transformation rules know what each index is.
+    `components` holds the nonzero components as {index tuple: value}.
     """
 
     __slots__ = ("chart", "signature", "components")
 
     def __init__(self, chart: Chart, signature, components):
+        """`components` nests one level of lists per slot, each as long as
+        the chart dimension; entries are expressions, strings or numbers."""
+        def at(idx):
+            c = components
+            for i in idx:
+                if len(c) != chart.n:
+                    raise ValueError("component axis has wrong length")
+                c = c[i]
+            return c
+
+        t = Tensor.from_fn(chart, signature, at)
+        self.chart, self.signature, self.components = chart, t.signature, t.components
+
+    @staticmethod
+    def from_fn(chart: Chart, signature, fn) -> "Tensor":
+        """The tensor whose component at each index tuple idx is fn(idx)."""
         sig = tuple((p, k) for p, k in signature)
         for p, k in sig:
             if p not in ("up", "down") or k not in (COORD, FRAME):
                 raise ValueError(f"bad index slot ({p!r},{k!r})")
-        self.chart = chart
-        self.signature = sig
-        self.components = _freeze(chart, components, len(sig))
+        t = Tensor._of(chart, sig, {})
+        for idx in t.indices():
+            v = PoissonStructure._entry(chart, fn(idx))
+            if not v.is_zero():
+                t.components[idx] = v
+        return t
 
     @staticmethod
-    def from_fn(chart: Chart, signature, fn) -> "Tensor":
-        sig = tuple(signature)
-        comp = _build(chart.n, len(sig), (), fn)
-        return Tensor(chart, sig, comp)
+    def _of(chart: Chart, signature: tuple, components: dict) -> "Tensor":
+        """The tensor with the nonzero components `components`."""
+        t = object.__new__(Tensor)
+        t.chart, t.signature, t.components = chart, signature, components
+        return t
 
     @property
     def rank(self) -> int:
         return len(self.signature)
 
     def __getitem__(self, idx):
+        """The component at an index tuple, or at an int for rank one;
+        IndexError unless there is one index in [0, n) per slot."""
         if isinstance(idx, int):
             idx = (idx,)
-        c = self.components
-        for i in idx:
-            c = c[i]
-        return c
+        n = self.chart.n
+        if len(idx) != self.rank or not all(
+                isinstance(i, int) and 0 <= i < n for i in idx):
+            raise IndexError(f"index {idx!r} does not address a rank-"
+                             f"{self.rank} tensor in dimension {n}")
+        v = self.components.get(idx)
+        return RatExpr.zero(self.chart) if v is None else v
 
     def indices(self):
         return itertools.product(range(self.chart.n), repeat=self.rank)
 
     def nonzero_components(self):
-        for idx in self.indices():
-            v = self[idx]
-            if not v.is_zero():
-                yield idx, v
+        """The (index, value) pairs of the nonzero components, in index
+        order."""
+        return iter(sorted(self.components.items()))
 
     def is_zero(self) -> bool:
-        return next(self.nonzero_components(), None) is None
+        return not self.components
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
@@ -92,22 +189,20 @@ class Tensor:
     def __sub__(self, other: "Tensor") -> "Tensor":
         if self.chart != other.chart or self.signature != other.signature:
             raise ValueError("tensor mismatch")
-        return Tensor.from_fn(self.chart, self.signature,
-                              lambda idx: self[idx] - other[idx])
+        return Tensor._of(self.chart, self.signature, _accumulate(
+            itertools.chain(self.components.items(),
+                            ((idx, -v) for idx, v in other.components.items()))))
 
     def to_lists(self):
-        def peel(c, depth):
-            if depth == 0:
-                return c
-            return [peel(x, depth - 1) for x in c]
-        return peel(self.components, self.rank)
+        return self._nested(lambda v: v)
 
     def to_strings(self):
-        def peel(c, depth):
-            if depth == 0:
-                return str(c)
-            return [peel(x, depth - 1) for x in c]
-        return peel(self.components, self.rank)
+        return self._nested(str)
+
+    def _nested(self, leaf, prefix=()):
+        if len(prefix) == self.rank:
+            return leaf(self[prefix])
+        return [self._nested(leaf, prefix + (i,)) for i in range(self.chart.n)]
 
     def __repr__(self):
         sig = "".join("u" if p == "up" else "d" for p, _ in self.signature)
@@ -115,51 +210,32 @@ class Tensor:
         return f"Tensor({sig}/{kinds}, {self.to_strings()!r})"
 
 
-def _build(n, rank, prefix, fn):
-    if rank == 0:
-        return fn(prefix)
-    return tuple(_build(n, rank - 1, prefix + (i,), fn) for i in range(n))
-
-
-def _freeze(chart, comp, rank):
-    if rank == 0:
-        v = PoissonStructure._entry(chart, comp)
-        return v
-    if len(comp) != chart.n:
-        raise ValueError("component axis has wrong length")
-    return tuple(_freeze(chart, c, rank - 1) for c in comp)
-
-
-def _gamma_array(s: PoissonStructure, which: str):
+def _connection(s: PoissonStructure, which: str) -> dict:
+    """The nonzero entries of Gamma ("gamma") or of its twist ("tilde")."""
+    G = _entries(s.Gamma, 3)
     if which == "gamma":
-        return s.Gamma
+        return G
     if which == "tilde":
-        G = s.Gamma
-        n = s.chart.n
-        return [[[G[a][c][b] for c in range(n)] for b in range(n)] for a in range(n)]
+        return _contract("acb->abc", G)
     raise ValueError(f"unknown connection {which!r}")
 
 
 def torsion(s: PoissonStructure) -> Tensor:
     """T^a_{bc} = Gamma^a_{bc} - Gamma^a_{cb}."""
-    G = s.Gamma
-    return Tensor.from_fn(s.chart, coord_signature("udd"),
-                          lambda i: G[i[0]][i[1]][i[2]] - G[i[0]][i[2]][i[1]])
+    G = _entries(s.Gamma, 3)
+    return Tensor._of(s.chart, coord_signature("udd"), _sum([
+        (1, "abc->abc", [G]), (-1, "acb->abc", [G])]))
 
 
 def curvature(s: PoissonStructure, which: str = "gamma") -> Tensor:
-    """R^a_{bcd} with the two-form indices last; antisymmetric in (c,d)."""
-    G = _gamma_array(s, which)
-    n = s.chart.n
-
-    def comp(idx):
-        a, b, c, d = idx
-        val = G[a][d][b].diff(c) - G[a][c][b].diff(d)
-        for k in range(n):
-            val = val + G[a][c][k] * G[k][d][b] - G[a][d][k] * G[k][c][b]
-        return val
-
-    return Tensor.from_fn(s.chart, coord_signature("uddd"), comp)
+    """R^a_{bcd} with the two-form indices last; antisymmetric in (c,d):
+    R^a_{bcd} = d_c G^a_{db} - d_d G^a_{cb} + G^a_{ck} G^k_{db}
+    - G^a_{dk} G^k_{cb}."""
+    G = _connection(s, which)
+    dG = _gradient(G, s.chart.n)
+    return Tensor._of(s.chart, coord_signature("uddd"), _sum([
+        (1, "adbc->abcd", [dG]), (-1, "acbd->abcd", [dG]),
+        (1, "ack,kdb->abcd", [G, G]), (-1, "adk,kcb->abcd", [G, G])]))
 
 
 def covariant_derivative(U: Tensor, s: PoissonStructure, which: str = "gamma") -> Tensor:
@@ -169,24 +245,18 @@ def covariant_derivative(U: Tensor, s: PoissonStructure, which: str = "gamma") -
         raise ValueError("tensor lives on a different chart")
     if any(k != COORD for _, k in U.signature):
         raise ValueError("covariant derivative needs coordinate indices")
-    G = _gamma_array(s, which)
-    n = s.chart.n
-    sig = (("down", COORD),) + U.signature
-
-    def comp(idx):
-        d, rest = idx[0], idx[1:]
-        val = U[rest].diff(d)
-        for slot, (pos, _) in enumerate(U.signature):
-            here = rest[slot]
-            for m in range(n):
-                other = rest[:slot] + (m,) + rest[slot + 1:]
-                if pos == "up":
-                    val = val + G[here][d][m] * U[other]
-                else:
-                    val = val - U[other] * G[m][d][here]
-        return val
-
-    return Tensor.from_fn(s.chart, sig, comp)
+    G = _connection(s, which)
+    # z is the direction, y is summed over, and U's slots are a, b, ...
+    u = "abcdefghijklmnopqrstuvwx"[:U.rank]
+    out = f"->z{u}"
+    terms = [(1, f"{u}z" + out, [_gradient(U.components, s.chart.n)])]
+    for slot, (pos, _) in enumerate(U.signature):
+        moved = u[:slot] + "y" + u[slot + 1:]
+        if pos == "up":
+            terms.append((1, f"{u[slot]}zy,{moved}" + out, [G, U.components]))
+        else:
+            terms.append((-1, f"{moved},yz{u[slot]}" + out, [U.components, G]))
+    return Tensor._of(s.chart, (("down", COORD),) + U.signature, _sum(terms))
 
 
 def poisson_tensor(s: PoissonStructure) -> Tensor:
@@ -211,26 +281,17 @@ def off_block_components(s: PoissonStructure) -> list:
     """The nonzero Gamma[a][b][c] that couple a holomorphic index with an
     antiholomorphic one, as ((a, b, c), value) pairs in index order."""
     holo = s.chart.is_holo
-    return [((a, b, c), s.Gamma[a][b][c])
-            for a, b, c in itertools.product(range(s.chart.n), repeat=3)
-            if holo(a) != holo(c) and not s.Gamma[a][b][c].is_zero()]
+    return [(idx, v) for idx, v in _entries(s.Gamma, 3).items()
+            if holo(idx[0]) != holo(idx[2])]
 
 
 def cyclic_jacobi(s: PoissonStructure) -> Tensor:
     """Sum over cyclic (a,b,c) of P^{ad} d_d P^{bc}; zero iff P is Poisson."""
-    P = s.P
-    n = s.chart.n
-
-    def comp(idx):
-        a, b, c = idx
-        val = RatExpr.zero(s.chart)
-        for d in range(n):
-            val = (val + P[a][d] * P[b][c].diff(d)
-                   + P[b][d] * P[c][a].diff(d)
-                   + P[c][d] * P[a][b].diff(d))
-        return val
-
-    return Tensor.from_fn(s.chart, coord_signature("uuu"), comp)
+    P = _entries(s.P, 2)
+    dP = _gradient(P, s.chart.n)
+    return Tensor._of(s.chart, coord_signature("uuu"), _sum(
+        (1, spec, [P, dP]) for spec in ("ad,bcd->abc", "bd,cad->abc",
+                                         "cd,abd->abc")))
 
 
 def check_integrability(s: PoissonStructure) -> VerificationReport:
@@ -239,7 +300,6 @@ def check_integrability(s: PoissonStructure) -> VerificationReport:
     function-level Jacobi condition applies."""
     rep = VerificationReport()
     chart = s.chart
-    n = chart.n
     _add_first_nonzero(rep, "jacobi-cyclic",
                        cyclic_jacobi(s).nonzero_components())
 
@@ -257,17 +317,9 @@ def check_integrability(s: PoissonStructure) -> VerificationReport:
     _add_first_nonzero(rep, "poisson-parallel", covariant_derivative(
         poisson_tensor(s), s, "tilde").nonzero_components())
 
-    Rt = curvature(s, "tilde")
-    P = s.P
-
-    def transport(idx):
-        a, b, k, l = idx
-        val = RatExpr.zero(chart)
-        for g in range(n):
-            val = val + P[a][g] * Rt[b, g, k, l]
-        return val
-
-    W = Tensor.from_fn(chart, coord_signature("uudd"), transport)
+    # W^{ab}_{kl} = P^{ag} Rt^b_{gkl}, with Rt the twisted curvature
+    W = Tensor._of(chart, coord_signature("uudd"), _contract(
+        "ag,bgkl->abkl", _entries(s.P, 2), curvature(s, "tilde").components))
     _add_first_nonzero(rep, "curvature-transport",
                        covariant_derivative(W, s, "gamma").nonzero_components())
 
@@ -309,31 +361,13 @@ def connection_from_metric(metric: Metric, s: PoissonStructure) -> Tensor:
     Pinv = invert_matrix(s.P)
     if Pinv is None:
         raise ValueError("P is singular")
-    P = s.P
-    h = metric.h
-    hi = metric.hinv
-    n = chart.n
+    P, hi = _entries(s.P, 2), _entries(metric.hinv, 2)
+    dP, dhi = _gradient(P, chart.n), _gradient(hi, chart.n)
+    # Gamma^a_{bg} = (1/2) Pinv_{bd} h_{ge} I^{ade}, summed over d and e
+    inner = _sum([(1, "ek,adk->ade", [hi, dP]), (1, "ak,dek->ade", [hi, dP]),
+                  (-1, "dk,eak->ade", [hi, dP]), (1, "ek,adk->ade", [P, dhi]),
+                  (-1, "ak,dek->ade", [P, dhi]), (-1, "dk,eak->ade", [P, dhi])])
     half = RatExpr.const(chart, 1) / RatExpr.const(chart, 2)
-
-    def comp(idx):
-        a, b, g = idx
-        total = RatExpr.zero(chart)
-        for dl in range(n):
-            if Pinv[b][dl].is_zero():
-                continue
-            for ep in range(n):
-                if h[g][ep].is_zero():
-                    continue
-                inner = RatExpr.zero(chart)
-                for k in range(n):
-                    inner = (inner
-                             + hi[ep][k] * P[a][dl].diff(k)
-                             + hi[a][k] * P[dl][ep].diff(k)
-                             - hi[dl][k] * P[ep][a].diff(k)
-                             + P[ep][k] * hi[a][dl].diff(k)
-                             - P[a][k] * hi[dl][ep].diff(k)
-                             - P[dl][k] * hi[ep][a].diff(k))
-                total = total + Pinv[b][dl] * h[g][ep] * inner
-        return half * total
-
-    return Tensor.from_fn(chart, coord_signature("udd"), comp)
+    return Tensor._of(chart, coord_signature("udd"), _sum([
+        (half, "bd,ge,ade->abg", [_entries(Pinv, 2), _entries(metric.h, 2),
+                                  inner])]))

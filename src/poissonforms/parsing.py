@@ -15,12 +15,15 @@ Hostile input is refused with a ParseError instead of exhausting the
 stack or the clock: factors (parentheses, signs, wedges) nest at most
 MAX_DEPTH deep, the exponents of nested powers multiply to at most
 MAX_EXPONENT in magnitude, so ((x+1)^k)^k counts as the exponent k*k,
-and no product, quotient, wedge or power is expanded when its predicted
-size exceeds MAX_TERMS terms.  A value's size is the number of terms of
-the larger of numerator and denominator, summed over its coefficients;
-a product is predicted to have the product of its operands' sizes, and
-a power p^n of a value of size t the C(t+n-1, n) monomials of degree n
-in t terms.
+and no sum, difference, product, quotient, wedge or power is expanded
+when its predicted size exceeds MAX_TERMS terms.  A value's size is the
+number of terms of the larger of numerator and denominator, summed over
+its coefficients; a product is predicted to have the product of its
+operands' sizes, and a power p^n of a value of size t the C(t+n-1, n)
+monomials of degree n in t terms.  A sum of two polynomials is predicted
+to have the sum of their sizes; any other sum brings its fractions to a
+common denominator, which multiplies them, and is predicted to have
+twice the product of the sizes.
 """
 
 from __future__ import annotations
@@ -113,10 +116,14 @@ class _Parser:
     def expr(self) -> DiffForm:
         out = self.term()
         while True:
-            kind, val, _ = self._peek()
+            kind, val, pos = self._peek()
             if kind == "sym" and val in "+-":
                 self.k += 1
                 rhs = self.term()
+                s1, s2 = _size(out), _size(rhs)
+                poly = all(c.is_poly() for w in (out, rhs)
+                           for c in w.parts.values())
+                self._check_size(s1 + s2 if poly else 2 * s1 * s2, pos)
                 out = out + rhs if val == "+" else out - rhs
             else:
                 return out

@@ -19,6 +19,9 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
+_EXACT = (int, Fraction)
+
+
 class GaussianRational:
     """Immutable a + b*i with exact rational a, b."""
 
@@ -37,7 +40,7 @@ class GaussianRational:
     def coerce(x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, _EXACT):
             return GaussianRational(x)
         raise TypeError(f"cannot coerce {x!r} to GaussianRational")
 
@@ -57,8 +60,15 @@ class GaussianRational:
 
     # -- arithmetic ---------------------------------------------------
 
+    # A binary operator takes a GaussianRational, int or Fraction and
+    # returns NotImplemented for anything else, so that Python tries the
+    # reflected operator of the other operand (a RatExpr or a DiffForm).
+
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
+        if not isinstance(other, GaussianRational):
+            if not isinstance(other, _EXACT):
+                return NotImplemented
+            other = GaussianRational(other)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -67,13 +77,20 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.coerce(other))
+        if not isinstance(other, (GaussianRational, *_EXACT)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) + (-self)
+        if not isinstance(other, _EXACT):
+            return NotImplemented
+        return -self + other
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
+        if not isinstance(other, GaussianRational):
+            if not isinstance(other, _EXACT):
+                return NotImplemented
+            other = GaussianRational(other)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -95,10 +112,14 @@ class GaussianRational:
         return GaussianRational(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
+        if not isinstance(other, (GaussianRational, *_EXACT)):
+            return NotImplemented
         return self * GaussianRational.coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) * self.inverse()
+        if not isinstance(other, _EXACT):
+            return NotImplemented
+        return GaussianRational(other) * self.inverse()
 
     def __pow__(self, n: int):
         if not isinstance(n, int):

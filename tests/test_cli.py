@@ -440,7 +440,8 @@ def test_hostile_expressions_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("entry", [
     "(a+b+c+d+1)^16", "(a+b+c+d+1)^24",
-    "*".join(f"(a+{k}*b+c+d+{k})" for k in range(1, 9))])
+    "*".join(f"(a+{k}*b+c+d+{k})" for k in range(1, 9)),
+    "+".join(f"1/(a+b+c+d+{k})" for k in range(1, 15))])
 def test_oversized_expansion_exits_two(tmp_path, capsys, entry):
     zero = ["0"] * 4
     path = write_json(tmp_path / "big.json",

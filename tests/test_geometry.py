@@ -103,6 +103,22 @@ def test_tensor_shape_and_signature():
         Tensor(ch, (("sideways", "coordinate"),), ["q", "p"])
 
 
+def test_tensor_lookup_needs_one_index_per_slot():
+    ch = Chart(("q", "p"))
+    t = Tensor(ch, coord_signature("ud"), [["q", "0"], ["1", "p"]])
+    assert t[0, 1] == 0 and t[1, 0] == 1
+    assert t.components == {(0, 0): parse_scalar("q", ch),
+                            (1, 0): RatExpr.const(ch, 1),
+                            (1, 1): parse_scalar("p", ch)}
+    for idx in (0, (0,), (0, 1, 0), (-1, 0), (0, 2), (0, 0.5)):
+        with pytest.raises(IndexError):
+            t[idx]
+    v = Tensor(ch, coord_signature("u"), ["q", "0"])
+    assert v[0] == v[0,] == parse_scalar("q", ch)
+    with pytest.raises(IndexError):
+        v[2]
+
+
 def test_torsion_flat_is_zero(darboux):
     assert torsion(darboux).is_zero()
     assert curvature(darboux, "gamma").is_zero()

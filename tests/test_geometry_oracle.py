@@ -1,0 +1,275 @@
+"""Sparse connection geometry against dense references.
+
+The laws in `geometry` contract dicts of nonzero components.  The
+references below are the same laws written as loops over every index of
+the nested arrays `s.P` and `s.Gamma`, each law reporting its first
+nonzero component in `itertools.product` order.  On random connections,
+flat ones, polynomial coefficient matrices and matrices that are not
+Poisson, every tensor must equal its reference and `check_integrability`
+must give the same report.
+"""
+
+import random
+
+from hypothesis import assume, given, settings, strategies as st
+
+from poissonforms.bracket import PoissonStructure, random_scalar
+from poissonforms.canonical import build_canonical
+from poissonforms.geometry import (Metric, Tensor, _add_first_nonzero,
+                                   check_integrability,
+                                   connection_from_metric, coord_signature,
+                                   covariant_derivative, curvature,
+                                   cyclic_jacobi, poisson_tensor, torsion)
+from poissonforms.linalg import invert_matrix
+from poissonforms.ratexpr import Chart, RatExpr
+from poissonforms.report import VerificationReport
+
+from identities import pure_gauge_connection, random_connection
+from test_bracket import sphere_structure
+from test_complex import product_chart, product_constants
+
+
+def dense_gamma(s, which):
+    G = s.Gamma
+    if which == "gamma":
+        return G
+    n = s.chart.n
+    return [[[G[a][c][b] for c in range(n)] for b in range(n)]
+            for a in range(n)]
+
+
+def dense_torsion(s):
+    G = s.Gamma
+    return Tensor.from_fn(s.chart, coord_signature("udd"),
+                          lambda i: G[i[0]][i[1]][i[2]] - G[i[0]][i[2]][i[1]])
+
+
+def dense_curvature(s, which):
+    G = dense_gamma(s, which)
+    n = s.chart.n
+
+    def comp(idx):
+        a, b, c, d = idx
+        val = G[a][d][b].diff(c) - G[a][c][b].diff(d)
+        for k in range(n):
+            val = val + G[a][c][k] * G[k][d][b] - G[a][d][k] * G[k][c][b]
+        return val
+
+    return Tensor.from_fn(s.chart, coord_signature("uddd"), comp)
+
+
+def dense_covariant_derivative(U, s, which):
+    G = dense_gamma(s, which)
+    n = s.chart.n
+
+    def comp(idx):
+        d, rest = idx[0], idx[1:]
+        val = U[rest].diff(d)
+        for slot, (pos, _) in enumerate(U.signature):
+            here = rest[slot]
+            for m in range(n):
+                other = rest[:slot] + (m,) + rest[slot + 1:]
+                if pos == "up":
+                    val = val + G[here][d][m] * U[other]
+                else:
+                    val = val - U[other] * G[m][d][here]
+        return val
+
+    return Tensor.from_fn(s.chart, (("down", "coordinate"),) + U.signature,
+                          comp)
+
+
+def dense_cyclic_jacobi(s):
+    P = s.P
+    n = s.chart.n
+
+    def comp(idx):
+        a, b, c = idx
+        val = RatExpr.zero(s.chart)
+        for d in range(n):
+            val = (val + P[a][d] * P[b][c].diff(d)
+                   + P[b][d] * P[c][a].diff(d)
+                   + P[c][d] * P[a][b].diff(d))
+        return val
+
+    return Tensor.from_fn(s.chart, coord_signature("uuu"), comp)
+
+
+def dense_transport(s):
+    """W^{ab}_{kl} = P^{ag} Rt^b_{gkl}, with Rt the twisted curvature."""
+    Rt = dense_curvature(s, "tilde")
+    P = s.P
+    n = s.chart.n
+
+    def comp(idx):
+        a, b, k, l = idx
+        val = RatExpr.zero(s.chart)
+        for g in range(n):
+            val = val + P[a][g] * Rt[b, g, k, l]
+        return val
+
+    return Tensor.from_fn(s.chart, coord_signature("uudd"), comp)
+
+
+def dense_check_integrability(s):
+    rep = VerificationReport()
+    chart = s.chart
+    _add_first_nonzero(rep, "jacobi-cyclic",
+                       dense_cyclic_jacobi(s).nonzero_components())
+    names = ["flatness", "poisson-parallel", "curvature-transport"]
+    if chart.is_complex():
+        names.append("block-diagonal")
+    if invert_matrix(s.P) is None:
+        for name in names:
+            rep.add_not_applicable(name)
+        return rep
+    _add_first_nonzero(rep, "flatness",
+                       dense_curvature(s, "gamma").nonzero_components())
+    _add_first_nonzero(rep, "poisson-parallel", dense_covariant_derivative(
+        poisson_tensor(s), s, "tilde").nonzero_components())
+    _add_first_nonzero(rep, "curvature-transport", dense_covariant_derivative(
+        dense_transport(s), s, "gamma").nonzero_components())
+    if chart.is_complex():
+        n = chart.n
+        holo = chart.is_holo
+        _add_first_nonzero(rep, "block-diagonal", (
+            ((a, b, c), s.Gamma[a][b][c])
+            for a in range(n) for b in range(n) for c in range(n)
+            if holo(a) != holo(c)))
+    return rep
+
+
+def dense_connection_from_metric(metric, s):
+    chart = s.chart
+    Pinv = invert_matrix(s.P)
+    P = s.P
+    h = metric.h
+    hi = metric.hinv
+    n = chart.n
+    half = RatExpr.const(chart, 1) / RatExpr.const(chart, 2)
+
+    def comp(idx):
+        a, b, g = idx
+        total = RatExpr.zero(chart)
+        for dl in range(n):
+            if Pinv[b][dl].is_zero():
+                continue
+            for ep in range(n):
+                if h[g][ep].is_zero():
+                    continue
+                inner = RatExpr.zero(chart)
+                for k in range(n):
+                    inner = (inner
+                             + hi[ep][k] * P[a][dl].diff(k)
+                             + hi[a][k] * P[dl][ep].diff(k)
+                             - hi[dl][k] * P[ep][a].diff(k)
+                             + P[ep][k] * hi[a][dl].diff(k)
+                             - P[a][k] * hi[dl][ep].diff(k)
+                             - P[dl][k] * hi[ep][a].diff(k))
+                total = total + Pinv[b][dl] * h[g][ep] * inner
+        return half * total
+
+    return Tensor.from_fn(chart, coord_signature("udd"), comp)
+
+
+def assert_matches_dense(s):
+    """Every law of `geometry` on s equals its dense reference."""
+    assert torsion(s) == dense_torsion(s)
+    assert cyclic_jacobi(s) == dense_cyclic_jacobi(s)
+    for which in ("gamma", "tilde"):
+        assert curvature(s, which) == dense_curvature(s, which)
+        for U in (poisson_tensor(s), dense_torsion(s)):
+            assert (covariant_derivative(U, s, which)
+                    == dense_covariant_derivative(U, s, which))
+    assert (check_integrability(s).to_dict()
+            == dense_check_integrability(s).to_dict())
+
+
+def antisymmetric(chart, rng, degree):
+    """A random antisymmetric matrix of polynomials."""
+    n = chart.n
+    zero = RatExpr.zero(chart)
+    P = [[zero] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            P[a][b] = random_scalar(chart, rng, degree)
+            P[b][a] = -P[a][b]
+    return P
+
+
+@st.composite
+def structures(draw):
+    """A random or flat connection on a two-dimensional chart with a
+    constant or polynomial P, or a linear P on three or four coordinates,
+    generically not Poisson, with a sparse random connection."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["random", "flat", "not-poisson"]))
+    if kind != "not-poisson":
+        ch = Chart(("q", "p"))
+        make = random_connection if kind == "random" else pure_gauge_connection
+        s = make(ch, rng, degree=draw(st.integers(1, 2)))
+        if draw(st.booleans()):
+            s = PoissonStructure(ch, antisymmetric(ch, rng, 1), s.Gamma)
+        return s
+    ch = Chart(("x", "y", "w", "v")[:draw(st.integers(3, 4))])
+    n = ch.n
+    zero = RatExpr.zero(ch)
+    G = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 4))):
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        G[a][b][c] = random_scalar(ch, rng, 1)
+    return PoissonStructure(ch, antisymmetric(ch, rng, 1), G)
+
+
+@settings(max_examples=20, deadline=None)
+@given(structures())
+def test_geometry_matches_dense_loops(s):
+    assert_matches_dense(s)
+
+
+def test_dense_reference_sees_failures():
+    """A linear P on four coordinates that is not Poisson, with a
+    connection that is neither flat nor parallel: every law fails, and
+    both sides report the same first components."""
+    ch = Chart(("x", "y", "w", "v"))
+    P = [["0", "x", "1", "y"], ["-x", "0", "w", "1"],
+         ["-1", "-w", "0", "v"], ["-y", "-1", "-v", "0"]]
+    zero = RatExpr.zero(ch)
+    G = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
+    G[0][1][2] = RatExpr.variable(ch, 3)
+    G[2][0][1] = RatExpr.variable(ch, 0)
+    s = PoissonStructure(ch, P, G)
+    assert_matches_dense(s)
+    assert [c.name for c in check_integrability(s).failures] == [
+        "jacobi-cyclic", "flatness", "poisson-parallel",
+        "curvature-transport"]
+
+
+def test_complex_charts_match_dense_loops():
+    """The sphere, its connection corrupted off the holomorphic blocks,
+    and the four-dimensional product structure."""
+    sphere = sphere_structure()
+    assert_matches_dense(sphere)
+    G = [[list(row) for row in slab] for slab in sphere.Gamma]
+    G[0][0][1] = RatExpr.const(sphere.chart, 1)
+    assert_matches_dense(PoissonStructure(sphere.chart, sphere.P, G))
+    s, _ = build_canonical(product_constants(), product_chart())
+    assert (check_integrability(s).to_dict()
+            == dense_check_integrability(s).to_dict())
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_connection_from_metric_matches_dense_loop(seed, constant_p):
+    """Random polynomial metrics h = Mᵀ D M with M unipotent, so that the
+    inverse metric is polynomial too, with a constant or linear P."""
+    rng = random.Random(seed)
+    ch = Chart(("q", "p"))
+    P = antisymmetric(ch, rng, 0 if constant_p else 1)
+    assume(invert_matrix(P) is not None)
+    m = random_scalar(ch, rng, 1)
+    d0, d1 = rng.choice([1, 2, -1]), rng.choice([1, -3])
+    metric = Metric(ch, [[d0, d0 * m], [d0 * m, d0 * m * m + d1]])
+    s = PoissonStructure(ch, P)
+    assert (connection_from_metric(metric, s)
+            == dense_connection_from_metric(metric, s))

@@ -84,8 +84,8 @@ def test_exponent_is_bounded(ch):
 
 
 def test_expansion_size_is_bounded():
-    """Products, quotients, wedges and powers are refused before they are
-    expanded when the predicted term count exceeds MAX_TERMS."""
+    """Sums, products, quotients, wedges and powers are refused before
+    they are expanded when the predicted term count exceeds MAX_TERMS."""
     ch = Chart(("a", "b", "c", "d"))
     assert MAX_TERMS == 1000
     # (a+b+c+d+1)^9 has C(13, 9) = 715 terms; ^10 would have 1001
@@ -93,9 +93,15 @@ def test_expansion_size_is_bounded():
     assert len(parse_scalar("(a+b+c+d+1)^-9", ch).den.terms) == 715
     six = "*".join(f"(a+{k}*b+c+d+{k})" for k in range(1, 7))
     assert len(parse_scalar(six, ch).num.terms) == 210
+    # a sum of fractions multiplies their denominators; a sum of
+    # polynomials only adds their terms
+    fractions = "+".join(f"1/(a+b+c+d+{k})" for k in range(1, 9))
+    polynomial = "+".join(f"a^{i}*b^{j}*c^{k}" for i in range(10)
+                          for j in range(10) for k in range(9))
+    assert len(parse_scalar(polynomial, ch).num.terms) == 900
     for text in ("(a+b+c+d+1)^10", "(a+b+c+d+1)^-10", "(a+b+c+d+1)^16",
                  six + "*(a+b+c+d+7)", six + "/(a+b+c+d+7)",
-                 "(a+b)^40*(c+d)^40"):
+                 "(a+b)^40*(c+d)^40", fractions):
         with pytest.raises(ParseError, match="predicted to exceed"):
             parse_scalar(text, ch)
     # a wedge of forms is a product of their sizes as well

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from poissonforms.forms import DiffForm
+from poissonforms.ratexpr import Chart, RatExpr
 from poissonforms.scalars import GaussianRational, I, ONE, ZERO
 
 
@@ -24,6 +26,28 @@ def test_field_arithmetic():
     assert -a == GaussianRational(-1, -2)
     assert 2 * a == GaussianRational(2, 4)
     assert 1 - a == GaussianRational(0, -2)
+    assert Fraction(1, 2) / a == GaussianRational(Fraction(1, 10),
+                                                  Fraction(-1, 5))
+
+
+def test_mixed_arithmetic_defers_to_the_other_operand():
+    """A scalar on the left of an expression or a form gives the same
+    result as on the right; other operands raise TypeError."""
+    ch = Chart(("x",))
+    a = GaussianRational(2, 1)
+    x = RatExpr.variable(ch, 0)
+    assert a * x == x * a
+    assert a + x == x + a
+    assert a - x == -(x - a)
+    assert a / x == RatExpr.const(ch, a) / x
+    w = DiffForm.d_coord(ch, 0)
+    assert a * w == w * a
+    assert a + w == w + a
+    assert a - w == -(w - a)
+    for op in (lambda: a / w, lambda: a * "x", lambda: "x" - a,
+               lambda: a + 0.5):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_conjugate_and_norm():
