@@ -83,9 +83,7 @@ def _contract(spec: str, *tensors) -> dict:
 def _sum(terms) -> dict:
     """The nonzero entries of the sum of k * _contract(spec, *operands)
     over the terms (k, spec, operands)."""
-    # Signs are applied without multiplying: a product with a constant
-    # reduces a rational expression again, which takes a gcd.
-    return _accumulate((idx, v if k == 1 else -v if k == -1 else k * v)
+    return _accumulate((idx, k * v)
                        for k, spec, operands in terms
                        for idx, v in _contract(spec, *operands).items())
 

@@ -32,6 +32,7 @@ import re as _re
 from math import comb
 
 from .forms import DiffForm
+from .polynomials import PolySum
 from .ratexpr import Chart, RatExpr
 from .scalars import GaussianRational
 
@@ -52,8 +53,52 @@ class ParseError(ValueError):
 
 
 def _size(form: DiffForm) -> int:
-    return sum(max(len(c.num.terms), len(c.den.terms))
+    return sum(max(c.num.nterms(), c.den.nterms())
                for c in form.parts.values())
+
+
+def _is_poly(form: DiffForm) -> bool:
+    return all(c.is_poly() for c in form.parts.values())
+
+
+class _Sum:
+    """The running value of a sum of terms.  While every term has
+    polynomial coefficients it is held as one PolySum per form part, so
+    that adding a term costs the size of the term, not of the sum; from
+    the first other term on, as a DiffForm.  `size` is always the _size of
+    the value."""
+
+    def __init__(self, form: DiffForm):
+        self.chart = form.chart
+        self.form = None
+        self.polys = {}
+        self.size = 0
+        self.add(form, 1)
+
+    def is_poly(self) -> bool:
+        return self.form is None or _is_poly(self.form)
+
+    def add(self, rhs: DiffForm, sign: int) -> None:
+        if self.form is None and _is_poly(rhs):
+            for idxs, c in rhs.parts.items():
+                acc = self.polys.get(idxs)
+                if acc is None:
+                    self.polys[idxs] = acc = PolySum(self.chart.n)
+                self.size -= acc.nterms()
+                acc.add(c.num, sign)
+                self.size += acc.nterms()
+                if not acc.nterms():
+                    del self.polys[idxs]
+            return
+        value = self.value()
+        self.form = value + rhs if sign > 0 else value - rhs
+        self.size = _size(self.form)
+
+    def value(self) -> DiffForm:
+        if self.form is None:
+            return DiffForm(self.chart, {idxs: RatExpr(self.chart, acc.value())
+                                         for idxs, acc in self.polys.items()})
+        return self.form
 
 
 def _tokenize(text: str):
@@ -114,19 +159,18 @@ class _Parser:
         return out
 
     def expr(self) -> DiffForm:
-        out = self.term()
+        out = _Sum(self.term())
         while True:
             kind, val, pos = self._peek()
             if kind == "sym" and val in "+-":
                 self.k += 1
                 rhs = self.term()
-                s1, s2 = _size(out), _size(rhs)
-                poly = all(c.is_poly() for w in (out, rhs)
-                           for c in w.parts.values())
+                s1, s2 = out.size, _size(rhs)
+                poly = out.is_poly() and _is_poly(rhs)
                 self._check_size(s1 + s2 if poly else 2 * s1 * s2, pos)
-                out = out + rhs if val == "+" else out - rhs
+                out.add(rhs, 1 if val == "+" else -1)
             else:
-                return out
+                return out.value()
 
     def term(self) -> DiffForm:
         out = self.factor()

@@ -52,11 +52,11 @@ def poly_str(p: Poly, names) -> str:
 
 
 def _needs_parens_as_num(p: Poly) -> bool:
-    return len(p.terms) > 1
+    return p.nterms() > 1
 
 
 def _needs_parens_as_den(p: Poly, names) -> bool:
-    if len(p.terms) > 1:
+    if p.nterms() > 1:
         return True
     return "*" in poly_str(p, names)
 
@@ -76,7 +76,7 @@ def ratexpr_str(r: RatExpr) -> str:
 
 def _coeff_factor(r: RatExpr) -> str:
     s = ratexpr_str(r)
-    if r.den.is_const() and len(r.num.terms) > 1:
+    if r.den.is_const() and r.num.nterms() > 1:
         return f"({s})"
     return s
 

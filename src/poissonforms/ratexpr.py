@@ -1,7 +1,10 @@
 """Coordinate charts and exact rational expressions over them.
 
 A RatExpr is a reduced fraction of polynomials with a monic denominator,
-so structural equality is semantic equality.  Charts carry the coordinate
+so structural equality is semantic equality.  Its arithmetic runs on the
+integer coefficients of the polynomials: the unit and monic tests read
+ints, and no gcd is taken for a negation, for a constant factor or
+divisor, or to differentiate a polynomial.  Charts carry the coordinate
 names plus, for complex charts, the pairing that drives conjugation.
 """
 
@@ -110,23 +113,21 @@ class RatExpr:
             den = chart.unit
         elif den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
+        elif num.is_zero():
             den = chart.unit
         elif den.is_const():
-            c = den.const_value()
-            if not c.is_one():
-                num = num.scale(c.inverse())
+            if not den.is_one():
+                num = num.divexact(den)
                 den = chart.unit
         else:
             g = poly_gcd(num, den)
             if not g.is_const():
                 num = num.divexact(g)
                 den = den.divexact(g)
-            _, lc = den.leading()
-            if not lc.is_one():
-                inv = lc.inverse()
-                num = num.scale(inv)
-                den = den.scale(inv)
+            if not den.is_monic():
+                inv = den.leading_inverse()
+                num = num * inv
+                den = den * inv
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -137,8 +138,17 @@ class RatExpr:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def _of(chart: Chart, num: Poly, den: Poly) -> "RatExpr":
+        """num/den already in reduced monic form: no gcd is taken."""
+        out = object.__new__(RatExpr)
+        object.__setattr__(out, "chart", chart)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
+
+    @staticmethod
     def const(chart: Chart, c) -> "RatExpr":
-        return RatExpr(chart, Poly.const(chart.n, c))
+        return RatExpr._of(chart, Poly.const(chart.n, c), chart.unit)
 
     @staticmethod
     def variable(chart: Chart, which) -> "RatExpr":
@@ -192,7 +202,7 @@ class RatExpr:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatExpr(self.chart, -self.num, self.den)
+        return RatExpr._of(self.chart, -self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -207,6 +217,12 @@ class RatExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        a, b = (o, self) if self.is_const() else (self, o)
+        if b.is_const():
+            # A nonzero constant factor keeps the reduced monic denominator.
+            if b.is_zero():
+                return b
+            return RatExpr._of(self.chart, a.num * b.num, a.den)
         return RatExpr(self.chart, self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -217,6 +233,8 @@ class RatExpr:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero expression")
+        if o.is_const():
+            return RatExpr._of(self.chart, self.num.divexact(o.num), self.den)
         return RatExpr(self.chart, self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
@@ -235,7 +253,7 @@ class RatExpr:
     def diff(self, which) -> "RatExpr":
         idx = self.chart.index(which) if isinstance(which, str) else which
         if self.den.is_const():
-            return RatExpr(self.chart, self.num.deriv(idx), self.den)
+            return RatExpr._of(self.chart, self.num.deriv(idx), self.den)
         n, d = self.num, self.den
         return RatExpr(self.chart, n.deriv(idx) * d - n * d.deriv(idx), d * d)
 

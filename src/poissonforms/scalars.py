@@ -1,7 +1,11 @@
 """Exact scalars: rational numbers extended by the imaginary unit.
 
-Every coefficient in the package is a Gaussian rational a + b*i with a, b
-plain fractions.  Arithmetic is exact; there is no float anywhere.
+A GaussianRational is a + b*i with a, b plain fractions.  It is the
+public scalar type: parsed constants, printed coefficients, the entries
+of the canonical constants and of the exact linear solver.  Polynomials
+store their coefficients as Gaussian integers over a common integer
+denominator instead (see polynomials), and convert to and from this type
+only at their boundary.  Arithmetic is exact; there is no float anywhere.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Differential oracle: the exact expression core against sympy.
 
 Small random polynomials over Q(i) in two variables go through RatExpr
-arithmetic, `diff`, `subst`, `eval_at` and `poly_gcd`, and the results
-are compared with sympy's `cancel`, `diff`, `subs` and `gcd` on the same
-input; a substitution or point that makes the denominator vanish must
-raise ZeroDivisionError.  A RatExpr must be
+arithmetic, `diff`, `conj`, `subst`, `eval_at` and `poly_gcd`, and the
+results are compared with sympy's `cancel`, `diff`, `conjugate`, `subs`
+and `gcd` on the same input; a substitution or point that makes the
+denominator vanish must raise ZeroDivisionError.  `poly_gcd` and
+`divexact` are also checked in three variables.  A RatExpr must be
 the same rational function as sympy's, fully reduced (its denominator
 differs from sympy's by a constant factor only) and have a monic
 denominator.
@@ -23,16 +24,21 @@ sympy = pytest.importorskip("sympy")
 
 CHART = Chart(("x", "y"))
 SYMBOLS = sympy.symbols("x y")
+COMPLEX_CHART = Chart(("z", "zb"), kind="complex", pairs=(("z", "zb"),))
+# Real symbols: sympy's conjugate then acts on the coefficients only.
+COMPLEX_SYMBOLS = sympy.symbols("z zb", real=True)
+SYMBOLS3 = sympy.symbols("x y w")
 ORACLE = settings(max_examples=30, deadline=None)
 
 _fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 _coeffs = st.builds(GaussianRational, _fractions, _fractions)
 
 
-def _polys(top: int, terms: int, nonzero: bool = False):
-    exps = st.tuples(st.integers(0, top), st.integers(0, top))
-    out = st.dictionaries(exps, _coeffs, min_size=int(nonzero),
-                          max_size=terms).map(lambda t: Poly(2, t))
+def _polys(top: int, terms: int, nonzero: bool = False, nvars: int = 2,
+           coeffs=_coeffs):
+    exps = st.tuples(*[st.integers(0, top)] * nvars)
+    out = st.dictionaries(exps, coeffs, min_size=int(nonzero),
+                          max_size=terms).map(lambda t: Poly(nvars, t))
     return out.filter(lambda p: not p.is_zero()) if nonzero else out
 
 
@@ -42,10 +48,10 @@ _denominators = _polys(1, 3, nonzero=True)
 
 
 @st.composite
-def _ratexprs(draw):
+def _ratexprs(draw, chart=CHART):
     """num*c / (den*c): the shared factor c makes the constructor reduce."""
     c = draw(_factors)
-    return RatExpr(CHART, draw(_bodies) * c, draw(_denominators) * c)
+    return RatExpr(chart, draw(_bodies) * c, draw(_denominators) * c)
 
 
 def _sym_scalar(c: GaussianRational):
@@ -53,29 +59,29 @@ def _sym_scalar(c: GaussianRational):
             + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
 
 
-def _sym_poly(p: Poly):
+def _sym_poly(p: Poly, symbols=SYMBOLS):
     out = sympy.Integer(0)
     for exps, c in p.terms.items():
         term = _sym_scalar(c)
-        for v, k in zip(SYMBOLS, exps):
+        for v, k in zip(symbols, exps):
             term *= v ** k
         out += term
     return out
 
 
-def _sym(r: RatExpr):
-    return _sym_poly(r.num) / _sym_poly(r.den)
+def _sym(r: RatExpr, symbols=SYMBOLS):
+    return _sym_poly(r.num, symbols) / _sym_poly(r.den, symbols)
 
 
 def _is_constant(expr) -> bool:
     return not sympy.cancel(expr).free_symbols
 
 
-def _assert_agrees(got: RatExpr, want):
+def _assert_agrees(got: RatExpr, want, symbols=SYMBOLS):
     """`got` is sympy's cancel(want), up to a constant in numerator and
     denominator alike, and has a monic denominator."""
     want_num, want_den = sympy.fraction(sympy.cancel(sympy.together(want)))
-    num, den = _sym_poly(got.num), _sym_poly(got.den)
+    num, den = _sym_poly(got.num, symbols), _sym_poly(got.den, symbols)
     assert sympy.expand(num * want_den - want_num * den) == 0
     assert _is_constant(sympy.cancel(den / want_den))
     assert got.den.leading()[1].is_one()
@@ -97,6 +103,35 @@ def test_field_operations_match_cancel(a, b):
 def test_diff_matches_sympy(a):
     for j, v in enumerate(SYMBOLS):
         _assert_agrees(a.diff(j), sympy.diff(_sym(a), v))
+
+
+@ORACLE
+@given(_ratexprs(COMPLEX_CHART))
+def test_conj_matches_sympy(a):
+    """Conjugate the coefficients and swap z with zb."""
+    z, zb = COMPLEX_SYMBOLS
+    want = sympy.conjugate(_sym(a, COMPLEX_SYMBOLS)).subs(
+        {z: zb, zb: z}, simultaneous=True)
+    _assert_agrees(a.conj(), want, COMPLEX_SYMBOLS)
+
+
+_coeffs7 = st.builds(GaussianRational,
+                     *[st.builds(Fraction, st.integers(-7, 7), st.integers(1, 7))] * 2)
+
+
+@ORACLE
+@given(_polys(2, 4, nvars=3, coeffs=_coeffs7), _polys(2, 4, nvars=3, coeffs=_coeffs7),
+       _polys(1, 2, nonzero=True, nvars=3, coeffs=_coeffs7))
+def test_poly_gcd_and_divexact_in_three_variables(p, q, c):
+    p, q = p * c, q * c
+    assume(not (p.is_zero() and q.is_zero()))
+    g = poly_gcd(p, q)
+    assert g.leading()[1].is_one()
+    sg = _sym_poly(g, SYMBOLS3)
+    assert _is_constant(sg / sympy.gcd(_sym_poly(p, SYMBOLS3), _sym_poly(q, SYMBOLS3)))
+    for f in (p, q):
+        quot = f.divexact(g)
+        assert sympy.expand(_sym_poly(quot, SYMBOLS3) * sg - _sym_poly(f, SYMBOLS3)) == 0
 
 
 @ORACLE

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from poissonforms.parsing import (MAX_DEPTH, MAX_EXPONENT, MAX_TERMS,
@@ -107,6 +109,26 @@ def test_expansion_size_is_bounded():
     # a wedge of forms is a product of their sizes as well
     with pytest.raises(ParseError, match="predicted to exceed"):
         parse_form("(a+b+c+d+1)^4*d[a]^(a+b+c+d+1)^4*d[b]", ch)
+
+
+def test_long_sum_is_accumulated_once():
+    """A sum of many terms costs the size of its terms, not the square of
+    it: the 900-term polynomial above parses well within a second."""
+    ch = Chart(("a", "b", "c", "d"))
+    polynomial = "+".join(f"a^{i}*b^{j}*c^{k}" for i in range(10)
+                          for j in range(10) for k in range(9))
+    start = time.perf_counter()
+    got = parse_scalar(polynomial, ch)
+    assert time.perf_counter() - start < 1.0
+    assert got.num.nterms() == 900
+
+
+def test_sums_mixing_polynomials_and_fractions(ch):
+    x, y = RatExpr.variable(ch, "x"), RatExpr.variable(ch, "y")
+    assert parse_scalar("x + 1/y + x - 1/y", ch) == 2 * x
+    assert parse_scalar("x - x + y/2 - 1/x + 1/x + y/3", ch) == y * GaussianRational(5) / 6
+    assert parse_scalar("1/x + x + y - y", ch) == x + 1 / x
+    assert parse_form("x*d[x] + d[y] - x*d[x] - d[y] + 1", ch) == parse_form("1", ch)
 
 
 def test_form_grammar(czx):

@@ -1,6 +1,11 @@
-import pytest
+from fractions import Fraction
+from itertools import chain
+from math import gcd
 
-from poissonforms.polynomials import Poly, poly_gcd
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from poissonforms.polynomials import Poly, PolySum, poly_gcd
 from poissonforms.scalars import GaussianRational
 
 
@@ -118,3 +123,84 @@ def test_gcd_three_vars():
     g = x + y * z
     assert poly_gcd(g * g * x, g * (y + z)) == g
     assert poly_gcd(x * y, y * z) == y
+
+
+# -- normal form ------------------------------------------------------
+
+_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+_scalars = st.builds(GaussianRational, _fractions, _fractions)
+_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         _scalars, max_size=4).map(lambda t: Poly(2, t))
+NORMAL_FORM = settings(max_examples=60, deadline=None)
+
+
+def assert_normal(p: Poly):
+    """One positive denominator sharing no factor with every coefficient,
+    and no zero entry."""
+    assert p.den > 0
+    assert all(a or b for a, b in p.coeffs.values())
+    assert gcd(p.den, *chain.from_iterable(p.coeffs.values())) == 1
+
+
+def _reference(op, p: Poly, q: Poly) -> dict:
+    """op on the GaussianRational views: the terms of p + q or p * q."""
+    out: dict = {}
+    if op == "add":
+        pairs = chain(p.terms.items(), q.terms.items())
+    else:
+        pairs = ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                 for e1, c1 in p.terms.items() for e2, c2 in q.terms.items())
+    for e, c in pairs:
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+@NORMAL_FORM
+@given(_polys, _polys, _polys)
+def test_equal_values_built_differently_are_equal(p, q, r):
+    left, right = (p * q) + r, r + (q * p)
+    assert left == right and hash(left) == hash(right)
+    assert (p - q) + q == p and hash((p - q) + q) == hash(p)
+    for got in (p, p * q, left, p - p, -p, p.deriv(0), p.monic(),
+                p.homogeneous_part(2), p.conjugate((1, 0))):
+        assert_normal(got)
+
+
+@NORMAL_FORM
+@given(_polys, _scalars.filter(bool))
+def test_scaling_there_and_back(p, c):
+    back = p.scale(c).scale(1 / c)
+    assert back == p and hash(back) == hash(p)
+    assert_normal(p.scale(c))
+
+
+@NORMAL_FORM
+@given(_polys, _polys)
+def test_arithmetic_matches_scalar_reference(p, q):
+    assert (p + q).terms == _reference("add", p, q)
+    assert (p * q).terms == _reference("mul", p, q)
+    assert p.scale(3).terms == {e: 3 * c for e, c in p.terms.items()}
+
+
+@NORMAL_FORM
+@given(st.lists(st.tuples(_polys, st.sampled_from((1, -1))), max_size=6))
+def test_poly_sum_matches_pairwise_sums(addends):
+    acc = PolySum(2)
+    want = Poly.zero(2)
+    for p, sign in addends:
+        acc.add(p, sign)
+        want = want + p if sign == 1 else want - p
+        assert acc.nterms() == want.nterms()
+    assert acc.value() == want
+    assert_normal(acc.value())
+
+
+def test_boundary_values_are_gaussian_rationals():
+    half = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
+    p = Poly(2, {(1, 0): half, (0, 0): Fraction(3, 4), (0, 1): 0})
+    assert p.den == 12 and p.coeffs == {(1, 0): (6, -4), (0, 0): (9, 0)}
+    assert p.terms == {(1, 0): half, (0, 0): GaussianRational(Fraction(3, 4))}
+    assert p.leading() == ((1, 0), half)
+    assert p.nterms() == 2
+    assert Poly.const(2, half).const_value() == half
+    assert Poly.zero(2).den == 1 and Poly.zero(2).const_value() == 0

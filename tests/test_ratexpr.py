@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from poissonforms import ratexpr
 from poissonforms.parsing import parse_scalar
 from poissonforms.ratexpr import Chart, RatExpr
 from poissonforms.scalars import GaussianRational
@@ -92,3 +95,53 @@ def test_equality_is_semantic(ch):
     b = parse_scalar("x+1", ch)
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_constant_factor_takes_no_gcd(monkeypatch, czx):
+    """A nonzero constant scales the numerator and keeps the reduced monic
+    denominator: the same value as reducing the product again."""
+    v = parse_scalar("(z + 2*i*zb)/(3*z*zb - 1)", czx)
+    ks = [3, -1, GaussianRational(Fraction(-2, 5), 1),
+          RatExpr.const(czx, GaussianRational(0, 7))]
+    want = {}
+    for k in ks:
+        c = (k if isinstance(k, RatExpr) else RatExpr.const(czx, k)).num
+        want[id(k)] = (RatExpr(czx, v.num * c, v.den), RatExpr(czx, v.num, v.den * c))
+    calls = []
+    gcd = ratexpr.poly_gcd
+
+    def counting(p, q):
+        calls.append((p, q))
+        return gcd(p, q)
+
+    monkeypatch.setattr(ratexpr, "poly_gcd", counting)
+    for k in ks:
+        product, quotient = want[id(k)]
+        assert k * v == product and v * k == product
+        assert v / k == quotient
+    assert (0 * v).is_zero() and (v * RatExpr.zero(czx)).is_zero()
+    assert calls == []
+    assert v * v == RatExpr(czx, v.num * v.num, v.den * v.den)
+    assert calls
+
+
+def test_integer_arithmetic_builds_no_scalars(monkeypatch, czx):
+    """+, *, diff and conj on denominator-1 expressions with Gaussian-
+    integer coefficients run on ints: no GaussianRational is built."""
+    z, zb = RatExpr.variable(czx, "z"), RatExpr.variable(czx, "zb")
+    i = RatExpr.const(czx, GaussianRational(0, 1))
+    a = (z + i * zb) * (z - 2) + 5
+    b = 3 * zb * zb - i * z
+    built = []
+    init = GaussianRational.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(GaussianRational, "__init__", counting)
+    got = [a + b, a - b, a * b, 2 * a, a * i, a.diff(0), b.diff("zb"),
+           a.conj(), (a * b).conj().diff(1) + b]
+    assert built == []
+    assert got[2].num.terms  # the GaussianRational view is counted
+    assert built
