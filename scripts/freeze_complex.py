@@ -62,7 +62,7 @@ rep = verify_complex_axioms(s2, QUICK)
 show_report("axioms", rep)
 
 print("\n== corrupted Gamma ==")
-G = [[[s.Gamma[a][b][c] for c in range(2)] for b in range(2)] for a in range(2)]
+G = [[[s.Gamma[a, b, c] for c in range(2)] for b in range(2)] for a in range(2)]
 G[0][0][1] = G[0][0][1] + RatExpr.one(zchart)
 sbad = PoissonStructure(zchart, s.P, G)
 rep = verify_complex_axioms(sbad, QUICK)
@@ -123,7 +123,7 @@ show_report("constants", rep)
 ch4 = Chart(("z1", "z2", "zb1", "zb2"), kind="complex",
             pairs=(("z1", "zb1"), ("z2", "zb2")))
 s4, fr4 = build_canonical(c4, ch4)
-print("P[0][2] =", s4.P[0][2], "| P[1][3] =", s4.P[1][3])
+print("P[0][2] =", s4.P[0, 2], "| P[1][3] =", s4.P[1, 3])
 print("split:", frame_split(ch4, fr4))
 t1 = time.time()
 rep = verify_complex_axioms(s4, SamplePlan(count=2))

@@ -36,7 +36,7 @@ for a, b, c in [(1, 0, 1), (0, 1, 0), (1, 0, -1), (1, 1, 1),
     S = p_scalar(t).diff(1)
     z_dz = s.coord_dx(0, 0)
     want = DiffForm(ch, {(0,): S})
-    print(f"  ({a},{b},{c}): (z,zb)={s.P[0][1]} (z,dz)-S*dz zero:"
+    print(f"  ({a},{b},{c}): (z,zb)={s.P[0, 1]} (z,dz)-S*dz zero:"
           f" {(z_dz - want).is_zero()} (dz,dzb)={s.dx_dx(0, 1)}")
 
 print("\n== axioms / integrability on builds ==")

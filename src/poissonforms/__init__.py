@@ -21,7 +21,7 @@ from .forms import DiffForm
 from .geometry import (Metric, Tensor, check_integrability,
                        connection_from_metric, coord_signature,
                        covariant_derivative, curvature, cyclic_jacobi,
-                       poisson_tensor, torsion)
+                       torsion)
 from .onedim import (HermitianTriple, MoebiusMap, build_one_dim,
                      centering_translation, classify, diagonalize,
                      eta_kahler, gaussian_curvature, moebius, one_dim_chart,
@@ -43,7 +43,7 @@ __all__ = [
     "frame_curvature", "frame_split", "gaussian_curvature", "kahler_form",
     "load_constants", "load_structure", "moebius", "one_dim_chart",
     "p_scalar", "parse_form", "parse_scalar", "poisson_matrix",
-    "poisson_tensor", "random_form", "random_scalar", "save_constants",
+    "random_form", "random_scalar", "save_constants",
     "save_structure", "torsion", "transform_constants", "triple_constants",
     "verify_axioms", "verify_complex_axioms", "xi_realization",
     "yang_baxter_defect", "yang_baxter_symmetrized",

@@ -4,8 +4,8 @@ A structure is a chart, an antisymmetric coefficient matrix P acting on
 functions, and a connection Gamma fixing the bracket of a coordinate with
 a coordinate differential:
 
-    (x^a, x^b)  = P[a][b]
-    (x^a, dx^b) = -P[a][g] Gamma[b][g][d] dx^d        (summed)
+    (x^a, x^b)  = P[a, b]
+    (x^a, dx^b) = -P[a, g] Gamma[b, g, d] dx^d        (summed)
 
 Every other bracket follows by bilinearity, the graded derivation rule in
 the second slot, and graded antisymmetry to flip into the first slot.
@@ -19,58 +19,56 @@ import random
 from dataclasses import dataclass
 
 from .forms import DiffForm
+from .geometry import Tensor, _contract, coord_signature
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
 from .scalars import GaussianRational
 
 
+def _tensor(chart: Chart, spec: str, T) -> Tensor:
+    """T as a coordinate tensor with signature `spec`: a Tensor with that
+    signature on the chart, or a nested array read by the Tensor
+    constructor."""
+    if not isinstance(T, Tensor):
+        return Tensor(chart, coord_signature(spec), T)
+    if T.chart != chart or T.signature != coord_signature(spec):
+        raise ValueError(f"expected a {spec} tensor on the structure's chart")
+    return T
+
+
+def _first_failure(P: Tensor, partner, holds):
+    """The first (a, b) in index order where holds(P[a, b],
+    P[partner(a, b)]) is false, for an involution `partner` of index
+    pairs.  Both laws hold where both entries are zero, so only the
+    nonzero entries and their partners are tried."""
+    return min((ab for idx in P.components for ab in (idx, partner(*idx))
+                if not holds(P[ab], P[partner(*ab)])), default=None)
+
+
 class PoissonStructure:
-    """Bracket data on a chart: P (n x n) and Gamma (n x n x n), both with
-    RatExpr entries; Gamma[a][b][c] multiplies dx^c in the bracket with
-    dx^a along direction b."""
+    """Bracket data on a chart: P, a Tensor with signature uu, and Gamma, a
+    Tensor with signature udd, each given as a Tensor or a nested array;
+    Gamma[a, b, c] multiplies dx^c in the bracket with dx^a along
+    direction b.  Gamma omitted means zero."""
 
     def __init__(self, chart: Chart, P, Gamma=None):
-        n = chart.n
-        zero = RatExpr.zero(chart)
-        P = [[self._entry(chart, v) for v in row] for row in P]
-        if len(P) != n or any(len(row) != n for row in P):
-            raise ValueError("P must be an n x n matrix")
-        for a in range(n):
-            for b in range(n):
-                if P[a][b] != -P[b][a]:
-                    raise ValueError(f"P is not antisymmetric at ({a},{b})")
+        P = _tensor(chart, "uu", P)
+        bad = _first_failure(P, lambda a, b: (b, a), lambda v, w: v == -w)
+        if bad is not None:
+            raise ValueError("P is not antisymmetric at (%d,%d)" % bad)
         if chart.is_complex():
             pr = chart.conj_perm()
-            for a in range(n):
-                for b in range(n):
-                    if P[a][b].conj() != P[pr[b]][pr[a]]:
-                        raise ValueError(f"P is not hermitian at ({a},{b})")
-        if Gamma is None:
-            Gamma = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        else:
-            Gamma = [[[self._entry(chart, v) for v in row] for row in slab] for slab in Gamma]
-            if len(Gamma) != n or any(
-                len(slab) != n or any(len(row) != n for row in slab) for slab in Gamma
-            ):
-                raise ValueError("Gamma must be an n x n x n array")
+            bad = _first_failure(P, lambda a, b: (pr[b], pr[a]),
+                                 lambda v, w: v.conj() == w)
+            if bad is not None:
+                raise ValueError("P is not hermitian at (%d,%d)" % bad)
         self.chart = chart
         self.P = P
-        self.Gamma = Gamma
+        self.Gamma = (Tensor._of(chart, coord_signature("udd"), {})
+                      if Gamma is None else _tensor(chart, "udd", Gamma))
         self._xd = None
         self._dd = None
         self._brackets = {}
-
-    @staticmethod
-    def _entry(chart: Chart, v) -> RatExpr:
-        if isinstance(v, RatExpr):
-            if v.chart != chart:
-                raise ValueError("entry lives on a different chart")
-            return v
-        if isinstance(v, str):
-            from .parsing import parse_scalar
-
-            return parse_scalar(v, chart)
-        return RatExpr.const(chart, v)
 
     @property
     def n(self) -> int:
@@ -82,19 +80,11 @@ class PoissonStructure:
         """(x^a, dx^b) as a one-form."""
         if self._xd is None:
             chart, n = self.chart, self.n
-            xd = [[None] * n for _ in range(n)]
-            for al in range(n):
-                for be in range(n):
-                    w = DiffForm.zero(chart)
-                    for g in range(n):
-                        if self.P[al][g].is_zero():
-                            continue
-                        for d in range(n):
-                            c = self.P[al][g] * self.Gamma[be][g][d]
-                            if c:
-                                w = w + DiffForm.monomial(-c, (d,))
-                    xd[al][be] = w
-            self._xd = xd
+            parts = [[{} for _ in range(n)] for _ in range(n)]
+            for (al, be, d), v in _contract("ag,bgd->abd", self.P.components,
+                                            self.Gamma.components).items():
+                parts[al][be][(d,)] = -v
+            self._xd = [[DiffForm(chart, p) for p in row] for row in parts]
         return self._xd[a][b]
 
     def dx_dx(self, a: int, b: int) -> DiffForm:
@@ -109,13 +99,9 @@ class PoissonStructure:
         n = self.n
         df = [f.diff(j) for j in range(n)]
         dg = [g.diff(j) for j in range(n)]
-        for a in range(n):
-            if df[a].is_zero():
-                continue
-            for b in range(n):
-                if self.P[a][b].is_zero() or dg[b].is_zero():
-                    continue
-                out = out + self.P[a][b] * df[a] * dg[b]
+        for (a, b), p in self.P.components.items():
+            if not (df[a].is_zero() or dg[b].is_zero()):
+                out = out + p * df[a] * dg[b]
         return out
 
     def _fn_dx(self, c: RatExpr, j: int) -> DiffForm:

@@ -109,13 +109,10 @@ class CanonicalTransform:
             [[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
 
     def compose(self, first: "CanonicalTransform") -> "CanonicalTransform":
-        """Apply `first`, then self."""
-        n = len(self.N)
-        N = [[sum((self.N[i][k] * first.N[k][j] for k in range(n)),
-                  GaussianRational(0)) for j in range(n)] for i in range(n)]
-        V = [sum((self.N[i][k] * first.V[k] for k in range(n)),
-                 GaussianRational(0)) + self.V[i] for i in range(n)]
-        return CanonicalTransform(N, V)
+        """Apply `first`, then self: F -> N N' F + N V' + V."""
+        NV = mat_mul(self.N, [[v] for v in first.V])
+        return CanonicalTransform(mat_mul(self.N, first.N),
+                                  [row[0] + v for row, v in zip(NV, self.V)])
 
 
 def yang_baxter_defect(c: CanonicalConstants, A, B, C, D, E, F) -> GaussianRational:
@@ -287,8 +284,7 @@ def build_canonical(c: CanonicalConstants, chart: Chart | None = None):
         raise ValueError("P is identically singular")
     n = c.dim
     G = _contract("ad,dcb->abc", _entries(P, 2), _gradient(_entries(Pinv, 2), n))
-    s = PoissonStructure(
-        chart, P, Tensor._of(chart, coord_signature("udd"), G).to_lists())
+    s = PoissonStructure(chart, P, Tensor._of(chart, coord_signature("udd"), G))
     phi = [RatExpr.variable(chart, k) for k in range(n)]
     fr = Frame(chart, P, Pinv, phi)
     return s, fr
@@ -354,12 +350,12 @@ def _quadratic_constants(s: PoissonStructure):
     g^{AB}, c F^C gives f^{AB}_C, c F^C F^D gives Rt^{AB}_{CD} =
     Rt^{AB}_{DC} = c for C != D and Rt^{AB}_{CC} = 2c."""
     if any(not v.is_poly() or v.num.total_degree() > 2
-           for row in s.P for v in row):
+           for v in s.P.components.values()):
         return None
     n = s.chart.n
     rt, f, g = [], [], []
-    for A, B in itertools.product(range(n), repeat=2):
-        for exps, v in s.P[A][B].num.terms.items():
+    for (A, B), p in s.P.nonzero_components():
+        for exps, v in p.num.terms.items():
             coords = tuple(C for C in range(n) for _ in range(exps[C]))
             if not coords:
                 g.append((A, B, v))

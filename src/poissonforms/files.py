@@ -93,26 +93,31 @@ def chart_from_dict(d) -> Chart:
 
 
 def structure_to_dict(s: PoissonStructure) -> dict:
-    d = {"chart": chart_to_dict(s.chart),
-         "P": [[str(v) for v in row] for row in s.P]}
-    if any(not v.is_zero() for slab in s.Gamma for row in slab for v in row):
-        d["Gamma"] = [[[str(v) for v in row] for row in slab]
-                      for slab in s.Gamma]
+    d = {"chart": chart_to_dict(s.chart), "P": s.P.to_strings()}
+    if not s.Gamma.is_zero():
+        d["Gamma"] = s.Gamma.to_strings()
     return d
+
+
+def _expect_array(v, what: str, levels: tuple):
+    """v checked as nested arrays, one level per name in `levels` (the
+    outermost first), with expression strings or integers as entries."""
+    if not levels:
+        if type(v) in (str, int):  # not bool, a subclass of int
+            return v
+        raise ValueError(f"{what} entries must be strings or integers")
+    for sub in _expect_list(v, levels[0]):
+        _expect_array(sub, what, levels[1:])
+    return v
 
 
 def structure_from_dict(d) -> PoissonStructure:
     d = _expect_dict(d, "structure")
     chart = chart_from_dict(d.get("chart"))
-    P = _expect_list(d.get("P"), "P")
-    for row in P:
-        _expect_list(row, "P row")
+    P = _expect_array(d.get("P"), "P", ("P", "P row"))
     Gamma = d.get("Gamma")
     if Gamma is not None:
-        Gamma = _expect_list(Gamma, "Gamma")
-        for slab in Gamma:
-            for row in _expect_list(slab, "Gamma slab"):
-                _expect_list(row, "Gamma row")
+        _expect_array(Gamma, "Gamma", ("Gamma", "Gamma slab", "Gamma row"))
     return PoissonStructure(chart, P, Gamma)
 
 

@@ -2,24 +2,27 @@
 
 Torsion, curvature and covariant derivatives for the connection Gamma and
 its twist (lower indices swapped), the integrability report, and the
-connection determined by a covariantly constant metric.
+connection determined by a covariantly constant metric.  The laws read a
+`bracket.PoissonStructure` s only through s.chart, s.P and s.Gamma.
 
 Index storage: a tensor is a dict {index tuple: value} holding only its
-nonzero components; Gamma^a_{bc} is keyed (a, b, c) with up index a,
-direction b and form index c, as in the bracket module, and a gradient
-appends the direction of the derivative as the last index.  Every law is
-a sparse contraction (`_contract`, an einsum that visits only nonzero
-entries) or a sum of a few, so its cost follows the number of nonzero
-components, not the dimension.  The package's other sparse laws, over
-constants and frames, use the same helpers.
+nonzero components, and a structure's P and Gamma are Tensors holding
+such dicts; Gamma^a_{bc} is keyed (a, b, c) with up index a, direction b
+and form index c, as in the bracket module, and a gradient appends the
+direction of the derivative as the last index.  Nested arrays of
+components are read by the `Tensor` constructor and written by
+`to_lists`/`to_strings`.  Every law is a sparse contraction (`_contract`,
+an einsum that visits only nonzero entries) or a sum of a few, so its
+cost follows the number of nonzero components, not the dimension.  The
+package's other sparse laws use the same helpers.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .bracket import PoissonStructure
 from .linalg import invert_matrix
+from .parsing import parse_scalar
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
 
@@ -88,6 +91,18 @@ def _sum(terms) -> dict:
                        for idx, v in _contract(spec, *operands).items())
 
 
+def _entry(chart: Chart, v) -> RatExpr:
+    """One component as an expression on `chart`: an expression on the
+    chart itself, a string parsed on it, or a number."""
+    if isinstance(v, RatExpr):
+        if v.chart != chart:
+            raise ValueError("entry lives on a different chart")
+        return v
+    if isinstance(v, str):
+        return parse_scalar(v, chart)
+    return RatExpr.const(chart, v)
+
+
 def _entries(nested, rank: int) -> dict:
     """The nonzero entries of a nested array (rank levels of lists) keyed
     by index tuple, in index order."""
@@ -138,7 +153,7 @@ class Tensor:
                 raise ValueError(f"bad index slot ({p!r},{k!r})")
         t = Tensor._of(chart, sig, {})
         for idx in t.indices():
-            v = PoissonStructure._entry(chart, fn(idx))
+            v = _entry(chart, fn(idx))
             if not v.is_zero():
                 t.components[idx] = v
         return t
@@ -210,7 +225,7 @@ class Tensor:
 
 def _connection(s: PoissonStructure, which: str) -> dict:
     """The nonzero entries of Gamma ("gamma") or of its twist ("tilde")."""
-    G = _entries(s.Gamma, 3)
+    G = s.Gamma.components
     if which == "gamma":
         return G
     if which == "tilde":
@@ -220,7 +235,7 @@ def _connection(s: PoissonStructure, which: str) -> dict:
 
 def torsion(s: PoissonStructure) -> Tensor:
     """T^a_{bc} = Gamma^a_{bc} - Gamma^a_{cb}."""
-    G = _entries(s.Gamma, 3)
+    G = s.Gamma.components
     return Tensor._of(s.chart, coord_signature("udd"), _sum([
         (1, "abc->abc", [G]), (-1, "acb->abc", [G])]))
 
@@ -257,10 +272,6 @@ def covariant_derivative(U: Tensor, s: PoissonStructure, which: str = "gamma") -
     return Tensor._of(s.chart, (("down", COORD),) + U.signature, _sum(terms))
 
 
-def poisson_tensor(s: PoissonStructure) -> Tensor:
-    return Tensor(s.chart, coord_signature("uu"), s.P)
-
-
 def _component(idx) -> str:
     return "component (" + ",".join(map(str, idx)) + ")"
 
@@ -276,16 +287,16 @@ def _add_first_nonzero(rep: VerificationReport, name: str, components):
 
 
 def off_block_components(s: PoissonStructure) -> list:
-    """The nonzero Gamma[a][b][c] that couple a holomorphic index with an
+    """The nonzero Gamma[a, b, c] that couple a holomorphic index with an
     antiholomorphic one, as ((a, b, c), value) pairs in index order."""
     holo = s.chart.is_holo
-    return [(idx, v) for idx, v in _entries(s.Gamma, 3).items()
+    return [(idx, v) for idx, v in s.Gamma.nonzero_components()
             if holo(idx[0]) != holo(idx[2])]
 
 
 def cyclic_jacobi(s: PoissonStructure) -> Tensor:
     """Sum over cyclic (a,b,c) of P^{ad} d_d P^{bc}; zero iff P is Poisson."""
-    P = _entries(s.P, 2)
+    P = s.P.components
     dP = _gradient(P, s.chart.n)
     return Tensor._of(s.chart, coord_signature("uuu"), _sum(
         (1, spec, [P, dP]) for spec in ("ad,bcd->abc", "bd,cad->abc",
@@ -301,7 +312,7 @@ def check_integrability(s: PoissonStructure) -> VerificationReport:
     _add_first_nonzero(rep, "jacobi-cyclic",
                        cyclic_jacobi(s).nonzero_components())
 
-    invertible = invert_matrix(s.P) is not None
+    invertible = invert_matrix(s.P.to_lists()) is not None
     names = ["flatness", "poisson-parallel", "curvature-transport"]
     if chart.is_complex():
         names.append("block-diagonal")
@@ -313,11 +324,11 @@ def check_integrability(s: PoissonStructure) -> VerificationReport:
     _add_first_nonzero(rep, "flatness",
                        curvature(s, "gamma").nonzero_components())
     _add_first_nonzero(rep, "poisson-parallel", covariant_derivative(
-        poisson_tensor(s), s, "tilde").nonzero_components())
+        s.P, s, "tilde").nonzero_components())
 
     # W^{ab}_{kl} = P^{ag} Rt^b_{gkl}, with Rt the twisted curvature
     W = Tensor._of(chart, coord_signature("uudd"), _contract(
-        "ag,bgkl->abkl", _entries(s.P, 2), curvature(s, "tilde").components))
+        "ag,bgkl->abkl", s.P.components, curvature(s, "tilde").components))
     _add_first_nonzero(rep, "curvature-transport",
                        covariant_derivative(W, s, "gamma").nonzero_components())
 
@@ -333,7 +344,7 @@ class Metric:
 
     def __init__(self, chart: Chart, h):
         n = chart.n
-        h = [[PoissonStructure._entry(chart, v) for v in row] for row in h]
+        h = [[_entry(chart, v) for v in row] for row in h]
         if len(h) != n or any(len(row) != n for row in h):
             raise ValueError("h must be an n x n matrix")
         for a in range(n):
@@ -356,10 +367,10 @@ def connection_from_metric(metric: Metric, s: PoissonStructure) -> Tensor:
         raise ValueError("metric lives on a different chart")
     if metric.hinv is None:
         raise ValueError("metric is singular")
-    Pinv = invert_matrix(s.P)
+    Pinv = invert_matrix(s.P.to_lists())
     if Pinv is None:
         raise ValueError("P is singular")
-    P, hi = _entries(s.P, 2), _entries(metric.hinv, 2)
+    P, hi = s.P.components, _entries(metric.hinv, 2)
     dP, dhi = _gradient(P, chart.n), _gradient(hi, chart.n)
     # Gamma^a_{bg} = (1/2) Pinv_{bd} h_{ge} I^{ade}, summed over d and e
     inner = _sum([(1, "ek,adk->ade", [hi, dP]), (1, "ak,dek->ade", [hi, dP]),

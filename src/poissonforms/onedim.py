@@ -23,6 +23,7 @@ from .canonical import CanonicalConstants, build_canonical, poisson_matrix
 from .complexforms import (_check_central_on_differentials, eta_forms,
                            kahler_form)
 from .forms import DiffForm
+from .linalg import mat_mul
 from .ratexpr import Chart, RatExpr
 from .scalars import GaussianRational
 
@@ -168,10 +169,7 @@ def moebius(t: HermitianTriple, m: MoebiusMap) -> HermitianTriple:
     T = [[t.a, t.b], [t.b.conjugate(), t.c]]
     R = [[m.alpha.conjugate(), m.beta.conjugate()],
          [m.gamma.conjugate(), m.delta.conjugate()]]
-    LT = [[sum((L[i][k] * T[k][j] for k in range(2)), GaussianRational(0))
-           for j in range(2)] for i in range(2)]
-    out = [[sum((LT[i][k] * R[k][j] for k in range(2)), GaussianRational(0))
-            for j in range(2)] for i in range(2)]
+    out = mat_mul(mat_mul(L, T), R)
     return HermitianTriple(out[0][0], out[0][1], out[1][1])
 
 

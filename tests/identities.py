@@ -200,9 +200,9 @@ def transform_structure(s, change):
             acc = RatExpr.zero(old)
             for g in range(n):
                 for d in range(n):
-                    if s.P[g][d].is_zero():
+                    if s.P[g, d].is_zero():
                         continue
-                    acc = acc + J[a][g] * J[b][d] * s.P[g][d]
+                    acc = acc + J[a][g] * J[b][d] * s.P[g, d]
             P2[a][b] = acc.subst(change.inverse)
     G2 = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
@@ -211,7 +211,7 @@ def transform_structure(s, change):
             for l in range(n):
                 acc = -change.forward[a].diff(k).diff(l)
                 for d in range(n):
-                    acc = acc + J[a][d] * s.Gamma[d][k][l]
+                    acc = acc + J[a][d] * s.Gamma[d, k, l]
                 inner[k][l] = acc
         pushed = [[inner[k][l].subst(change.inverse) for l in range(n)] for k in range(n)]
         for b in range(n):

@@ -120,7 +120,7 @@ def test_complex_checks_present():
 def test_corrupted_connection_fails_jacobi():
     st = sphere_structure()
     ch = st.chart
-    gamma = [[[st.Gamma[a][b][c] for c in range(2)] for b in range(2)] for a in range(2)]
+    gamma = [[[st.Gamma[a, b, c] for c in range(2)] for b in range(2)] for a in range(2)]
     gamma[1][1][1] = gamma[1][1][1] + RatExpr.one(ch)
     bad = PoissonStructure(ch, st.P, gamma)
     rep = verify_axioms(bad, SamplePlan(count=0))

@@ -197,12 +197,12 @@ def test_build_darboux(dim):
     assert s.chart.names == tuple(f"u{k + 1}" for k in range(dim))
     for A in range(dim):
         for B in range(dim):
-            assert s.P[A][B] == RatExpr.const(s.chart, entry(c.g, A, B))
+            assert s.P[A, B] == RatExpr.const(s.chart, entry(c.g, A, B))
             for C in range(dim):
-                assert s.Gamma[A][B][C].is_zero()
+                assert s.Gamma[A, B, C].is_zero()
     assert check_integrability(s).passed
     assert verify_axioms(s, QUICK).passed
-    assert fr.M == s.P
+    assert fr.M == s.P.to_lists()
     assert fr.Phi == [RatExpr.variable(s.chart, k) for k in range(dim)]
 
 
@@ -232,13 +232,13 @@ def test_build_fixture_battery(make):
                 - RatExpr.const(s.chart, entry(c.Rt, C, D, A, B))).is_zero()
     # torsion contracted into the frame equals the derivative of P
     T = torsion(s)
-    Pinv = invert_matrix(s.P)
+    Pinv = invert_matrix(s.P.to_lists())
     origin = [GaussianRational(0)] * n
     for A, B, C in itertools.product(range(n), repeat=3):
         acc = RatExpr.zero(s.chart)
         for E, F, G in itertools.product(range(n), repeat=3):
-            acc = acc + Pinv[A][E] * T[E, F, G] * s.P[F][B] * s.P[G][C]
-        assert (acc - s.P[B][C].diff(A)).is_zero()
+            acc = acc + Pinv[A][E] * T[E, F, G] * s.P[F, B] * s.P[G, C]
+        assert (acc - s.P[B, C].diff(A)).is_zero()
         assert acc.eval_at(origin) == entry(c.f, B, C, A)
     # twisted curvature equals the covariant derivative of torsion
     assert flat_twist_residual(s).is_zero()
@@ -405,8 +405,8 @@ def test_complex_recast_matches_reference():
     ref = sphere_structure()
     for a in range(2):
         for b in range(2):
-            assert (s.P[a][b] - ref.P[a][b]).is_zero()
+            assert (s.P[a, b] - ref.P[a, b]).is_zero()
             for c in range(2):
-                assert (s.Gamma[a][b][c] - ref.Gamma[a][b][c]).is_zero()
+                assert (s.Gamma[a, b, c] - ref.Gamma[a, b, c]).is_zero()
     es, rep = e_basis(s, fr)
     assert rep.passed

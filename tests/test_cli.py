@@ -454,6 +454,27 @@ def test_oversized_expansion_exits_two(tmp_path, capsys, entry):
     assert "predicted to exceed" in err
 
 
+@pytest.mark.parametrize("field", ["P", "Gamma"])
+@pytest.mark.parametrize("entry", [None, 0.5, {}, [1], True],
+                         ids=["null", "float", "object", "array", "bool"])
+def test_non_expression_entries_exit_two(tmp_path, capsys, field, entry):
+    """A structure entry that is neither an expression string nor an
+    integer is bad input, a boolean included: main returns 2 with an
+    error line instead of raising, so no traceback reaches the user."""
+    d = {"chart": {"coords": ["x", "y"], "kind": "real"},
+         "P": [[0, 1], [-1, 0]],
+         "Gamma": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]}
+    if field == "P":
+        d["P"][0][1] = entry
+    else:
+        d["Gamma"][1][0][1] = entry
+    path = write_json(tmp_path / "entry.json", d)
+    code, out, err = run_cli(capsys, "verify", path, "--count", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [["verify"], ["report"],
                                      ["canonical", "check"]])
 def test_deeply_nested_json_exits_two(tmp_path, capsys, command):

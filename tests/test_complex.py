@@ -147,7 +147,7 @@ def test_axioms_pass_on_direct_sphere():
 
 def test_axioms_pass_with_linear_part():
     s, fr = build_canonical(linear_constants(), zchart())
-    assert s.P[0][1] == parse_scalar("z + zb + 1", s.chart)
+    assert s.P[0, 1] == parse_scalar("z + zb + 1", s.chart)
     rep = verify_complex_axioms(s, QUICK)
     assert rep.passed
 
@@ -183,14 +183,14 @@ def test_bracket_of_conjugate_pair_is_real():
     s = sphere_structure()
     ch = s.chart
     fg = s.bracket(DiffForm.coord(ch, 0), DiffForm.coord(ch, 1))
-    assert fg == DiffForm.from_scalar(s.P[0][1])
+    assert fg == DiffForm.from_scalar(s.P[0, 1])
     assert fg.star() == fg
 
 
 def test_corrupted_mixed_connection_fails_with_witness():
     s, fr = sphere_build()
     ch = s.chart
-    G = [[[s.Gamma[a][b][c] for c in range(2)] for b in range(2)]
+    G = [[[s.Gamma[a, b, c] for c in range(2)] for b in range(2)]
          for a in range(2)]
     G[0][0][1] = G[0][0][1] + RatExpr.one(ch)
     bad = PoissonStructure(ch, s.P, G)
@@ -199,7 +199,7 @@ def test_corrupted_mixed_connection_fails_with_witness():
     hits = [c for c in rep.checks
             if c.name == "connection-block-diagonal" and not c.ok]
     assert [(c.location, c.residual) for c in hits] == [("component (0,0,1)", "1")]
-    assert parse_scalar(hits[0].residual, ch) == bad.Gamma[0][0][1]
+    assert parse_scalar(hits[0].residual, ch) == bad.Gamma[0, 0, 1]
 
 
 def test_quartic_structure_fails_split_leibniz():
@@ -360,7 +360,7 @@ def test_product_structure_full_stack():
     assert check_constants(c).passed
     ch = product_chart()
     s, fr = build_canonical(c, ch)
-    assert s.P[0][2] == parse_scalar("z1*zb1 + 1", ch)
+    assert s.P[0, 2] == parse_scalar("z1*zb1 + 1", ch)
     assert frame_split(ch, fr) == ((2, 3), (0, 1))
 
     plan = SamplePlan(count=2)

@@ -1,16 +1,20 @@
-"""Sparse connection geometry against dense references.
+"""Sparse connection geometry and generator brackets against dense
+references.
 
-The laws in `geometry` contract dicts of nonzero components.  The
-references below are the same laws written as loops over every index of
-the nested arrays `s.P` and `s.Gamma`, each law reporting its first
+The laws in `geometry`, and the bracket's generator table, contract
+dicts of nonzero components.  The references below are the same laws
+written as loops over every index of the nested arrays
+`s.P.to_lists()` and `s.Gamma.to_lists()`, each law reporting its first
 nonzero component in `itertools.product` order.  On random connections,
 flat ones, polynomial coefficient matrices and matrices that are not
 Poisson, every tensor must equal its reference and `check_integrability`
-must give the same report.
+must give the same report; on random real and complex structures,
+`coord_dx` and `bracket_scalars` must equal their dense loops.
 """
 
 import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from poissonforms.bracket import PoissonStructure, random_scalar
@@ -19,7 +23,8 @@ from poissonforms.geometry import (Metric, Tensor, _add_first_nonzero,
                                    check_integrability,
                                    connection_from_metric, coord_signature,
                                    covariant_derivative, curvature,
-                                   cyclic_jacobi, poisson_tensor, torsion)
+                                   cyclic_jacobi, torsion)
+from poissonforms.forms import DiffForm
 from poissonforms.linalg import invert_matrix
 from poissonforms.ratexpr import Chart, RatExpr
 from poissonforms.report import VerificationReport
@@ -30,7 +35,7 @@ from test_complex import product_chart, product_constants
 
 
 def dense_gamma(s, which):
-    G = s.Gamma
+    G = s.Gamma.to_lists()
     if which == "gamma":
         return G
     n = s.chart.n
@@ -39,7 +44,7 @@ def dense_gamma(s, which):
 
 
 def dense_torsion(s):
-    G = s.Gamma
+    G = s.Gamma.to_lists()
     return Tensor.from_fn(s.chart, coord_signature("udd"),
                           lambda i: G[i[0]][i[1]][i[2]] - G[i[0]][i[2]][i[1]])
 
@@ -80,7 +85,7 @@ def dense_covariant_derivative(U, s, which):
 
 
 def dense_cyclic_jacobi(s):
-    P = s.P
+    P = s.P.to_lists()
     n = s.chart.n
 
     def comp(idx):
@@ -98,7 +103,7 @@ def dense_cyclic_jacobi(s):
 def dense_transport(s):
     """W^{ab}_{kl} = P^{ag} Rt^b_{gkl}, with Rt the twisted curvature."""
     Rt = dense_curvature(s, "tilde")
-    P = s.P
+    P = s.P.to_lists()
     n = s.chart.n
 
     def comp(idx):
@@ -119,21 +124,22 @@ def dense_check_integrability(s):
     names = ["flatness", "poisson-parallel", "curvature-transport"]
     if chart.is_complex():
         names.append("block-diagonal")
-    if invert_matrix(s.P) is None:
+    if invert_matrix(s.P.to_lists()) is None:
         for name in names:
             rep.add_not_applicable(name)
         return rep
     _add_first_nonzero(rep, "flatness",
                        dense_curvature(s, "gamma").nonzero_components())
     _add_first_nonzero(rep, "poisson-parallel", dense_covariant_derivative(
-        poisson_tensor(s), s, "tilde").nonzero_components())
+        s.P, s, "tilde").nonzero_components())
     _add_first_nonzero(rep, "curvature-transport", dense_covariant_derivative(
         dense_transport(s), s, "gamma").nonzero_components())
     if chart.is_complex():
         n = chart.n
         holo = chart.is_holo
+        G = s.Gamma.to_lists()
         _add_first_nonzero(rep, "block-diagonal", (
-            ((a, b, c), s.Gamma[a][b][c])
+            ((a, b, c), G[a][b][c])
             for a in range(n) for b in range(n) for c in range(n)
             if holo(a) != holo(c)))
     return rep
@@ -141,8 +147,8 @@ def dense_check_integrability(s):
 
 def dense_connection_from_metric(metric, s):
     chart = s.chart
-    Pinv = invert_matrix(s.P)
-    P = s.P
+    P = s.P.to_lists()
+    Pinv = invert_matrix(P)
     h = metric.h
     hi = metric.hinv
     n = chart.n
@@ -178,7 +184,7 @@ def assert_matches_dense(s):
     assert cyclic_jacobi(s) == dense_cyclic_jacobi(s)
     for which in ("gamma", "tilde"):
         assert curvature(s, which) == dense_curvature(s, which)
-        for U in (poisson_tensor(s), dense_torsion(s)):
+        for U in (s.P, dense_torsion(s)):
             assert (covariant_derivative(U, s, which)
                     == dense_covariant_derivative(U, s, which))
     assert (check_integrability(s).to_dict()
@@ -250,7 +256,7 @@ def test_complex_charts_match_dense_loops():
     and the four-dimensional product structure."""
     sphere = sphere_structure()
     assert_matches_dense(sphere)
-    G = [[list(row) for row in slab] for slab in sphere.Gamma]
+    G = sphere.Gamma.to_lists()
     G[0][0][1] = RatExpr.const(sphere.chart, 1)
     assert_matches_dense(PoissonStructure(sphere.chart, sphere.P, G))
     s, _ = build_canonical(product_constants(), product_chart())
@@ -273,3 +279,106 @@ def test_connection_from_metric_matches_dense_loop(seed, constant_p):
     s = PoissonStructure(ch, P)
     assert (connection_from_metric(metric, s)
             == dense_connection_from_metric(metric, s))
+
+
+# -- generator brackets --------------------------------------------------
+
+
+def dense_coord_dx(s):
+    """(x^a, dx^b) = -P[a][g] Gamma[b][g][d] dx^d by loops over every
+    index."""
+    P, G = s.P.to_lists(), s.Gamma.to_lists()
+    n = s.chart.n
+    xd = [[None] * n for _ in range(n)]
+    for al in range(n):
+        for be in range(n):
+            w = DiffForm.zero(s.chart)
+            for g in range(n):
+                if P[al][g].is_zero():
+                    continue
+                for d in range(n):
+                    c = P[al][g] * G[be][g][d]
+                    if c:
+                        w = w + DiffForm.monomial(-c, (d,))
+            xd[al][be] = w
+    return xd
+
+
+def dense_bracket_scalars(s, f, g):
+    P = s.P.to_lists()
+    n = s.chart.n
+    out = RatExpr.zero(s.chart)
+    df = [f.diff(j) for j in range(n)]
+    dg = [g.diff(j) for j in range(n)]
+    for a in range(n):
+        if df[a].is_zero():
+            continue
+        for b in range(n):
+            if P[a][b].is_zero() or dg[b].is_zero():
+                continue
+            out = out + P[a][b] * df[a] * dg[b]
+    return out
+
+
+def hermitian(chart, rng, degree):
+    """A random antisymmetric matrix of polynomials with
+    P[a][b].conj() == P[pr b][pr a], pr the conjugation of the chart:
+    R[a][b] + conj(R[pr b][pr a]) for a random antisymmetric R."""
+    R = antisymmetric(chart, rng, degree)
+    pr = chart.conj_perm()
+    n = chart.n
+    return [[R[a][b] + R[pr[b]][pr[a]].conj() for b in range(n)]
+            for a in range(n)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans(), st.integers(2, 4))
+def test_generator_brackets_match_dense_loops(seed, complex_chart, n):
+    """Random P and a sparse random connection with nonzero entries, on a
+    real chart of 2 to 4 coordinates or a complex chart of 2 or 4."""
+    rng = random.Random(seed)
+    if complex_chart:
+        names = ("z1", "zb1", "z2", "zb2")[:2 if n < 4 else 4]
+        ch = Chart(names, kind="complex",
+                   pairs=tuple(zip(names[::2], names[1::2])))
+        P = hermitian(ch, rng, 1)
+    else:
+        ch = Chart(("x", "y", "w", "v")[:n])
+        P = antisymmetric(ch, rng, 1)
+    n = ch.n
+    zero = RatExpr.zero(ch)
+    G = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for _ in range(rng.randint(1, 6)):
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        G[a][b][c] = random_scalar(ch, rng, 1)
+    s = PoissonStructure(ch, P, G)
+    assume(not s.Gamma.is_zero())
+    xd = dense_coord_dx(s)
+    for a in range(n):
+        for b in range(n):
+            assert s.coord_dx(a, b) == xd[a][b]
+    for _ in range(3):
+        f = random_scalar(ch, rng, 2)
+        g = random_scalar(ch, rng, 2)
+        assert s.bracket_scalars(f, g) == dense_bracket_scalars(s, f, g)
+
+
+@pytest.mark.parametrize("chart, P, message", [
+    (Chart(("x", "y")), [["0", "0"], ["x", "0"]],
+     "P is not antisymmetric at (0,1)"),
+    (Chart(("x", "y", "w")),
+     [["0", "1", "0"], ["-1", "0", "0"], ["y", "0", "0"]],
+     "P is not antisymmetric at (0,2)"),
+    (Chart(("z1", "zb1", "z2", "zb2"), kind="complex",
+           pairs=(("z1", "zb1"), ("z2", "zb2"))),
+     [["0"] * 4, ["0", "0", "0", "-z1"], ["0"] * 4, ["0", "z1", "0", "0"]],
+     "P is not hermitian at (0,2)"),
+    (Chart(("z", "zb"), kind="complex", pairs=(("z", "zb"),)),
+     [["0", "i"], ["-i", "0"]], "P is not hermitian at (0,1)"),
+])
+def test_first_failing_pair_is_reported(chart, P, message):
+    """The constructor names the first failing (a,b) in index order, even
+    when the entry there is zero and only its partner is not."""
+    with pytest.raises(ValueError) as exc:
+        PoissonStructure(chart, P)
+    assert str(exc.value) == message

@@ -87,7 +87,7 @@ def test_build_generator_brackets(a, b, c):
     s = build_one_dim(t)
     ch = s.chart
     P = p_scalar(t)
-    assert s.P[0][1] == P
+    assert s.P[0, 1] == P
     S = P.diff(1)
     assert s.coord_dx(0, 0) == DiffForm(ch, {(0,): S})
     want = DiffForm(ch, {(0, 1): RatExpr.const(ch, t.a)})
@@ -99,7 +99,7 @@ def test_build_examples():
     s = build_one_dim(HermitianTriple(1, 0, 1))
     assert s.coord_dx(0, 0) == parse_form("z*d[z]", ch)
     s = build_one_dim(HermitianTriple(0, 1, 0))
-    assert s.P[0][1] == parse_scalar("z + zb", ch)
+    assert s.P[0, 1] == parse_scalar("z + zb", ch)
     assert s.coord_dx(0, 0) == parse_form("d[z]", ch)
 
 

@@ -70,7 +70,7 @@ def real_build(make):
 def corrupted_sphere():
     """The complex sphere with one off-block connection entry added."""
     s, _ = sphere_build()
-    G = [[[s.Gamma[a][b][c] for c in range(2)] for b in range(2)]
+    G = [[[s.Gamma[a, b, c] for c in range(2)] for b in range(2)]
          for a in range(2)]
     G[0][0][1] = G[0][0][1] + RatExpr.one(s.chart)
     return PoissonStructure(s.chart, s.P, G)
