@@ -1,16 +1,20 @@
 """Graded Poisson brackets on differential forms.
 
 A structure is a chart, an antisymmetric coefficient matrix P acting on
-functions, and a connection Gamma fixing the bracket of a coordinate with
-a coordinate differential:
+functions, and a connection Gamma.  Three generator tables fix every
+bracket, with (c, dx^j) = d_g c (x^g, dx^j) for a function c:
 
-    (x^a, x^b)  = P[a, b]
-    (x^a, dx^b) = -P[a, g] Gamma[b, g, d] dx^d        (summed)
+    (x^a, x^b)   = P[a, b]
+    (x^a, dx^b)  = -P[a, g] Gamma[b, g, d] dx^d        (summed)
+    (dx^a, dx^b) = d (x^a, dx^b)                       (d-Leibniz)
 
-Every other bracket follows by bilinearity, the graded derivation rule in
-the second slot, and graded antisymmetry to flip into the first slot.
-Brackets of two differentials come from the exterior derivative, so no
-extra data is needed.
+Bilinearity, the graded derivation rule and graded antisymmetry give,
+with I<k and I>k the indices of I before and after position k,
+
+  (a dx^I, b dx^J) = -{b, a} dx^I dx^J - a sum_k dx^I<k (b, dx^I_k) dx^I>k dx^J
+                     + b sum_l (-1)^(|I| l) dx^J<l (a dx^I, dx^J_l) dx^J>l,
+  (a dx^I, dx^j) = s a sum_k (-1)^k dx^I<k (dx^j, dx^I_k) dx^I>k
+                   - s (a, dx^j) dx^I,  s = -1 for |I| even, +1 for odd.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .forms import DiffForm
+from .forms import DiffForm, sort_indices
 from .geometry import Tensor, _contract, coord_signature
+from .polynomials import Poly
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
 from .scalars import GaussianRational
@@ -49,7 +54,9 @@ class PoissonStructure:
     """Bracket data on a chart: P, a Tensor with signature uu, and Gamma, a
     Tensor with signature udd, each given as a Tensor or a nested array;
     Gamma[a, b, c] multiplies dx^c in the bracket with dx^a along
-    direction b.  Gamma omitted means zero."""
+    direction b.  Gamma omitted means zero.  A coefficient is
+    differentiated only along the rows and columns P uses and the
+    directions g with (x^g, dx^j) nonzero."""
 
     def __init__(self, chart: Chart, P, Gamma=None):
         P = _tensor(chart, "uu", P)
@@ -66,6 +73,8 @@ class PoissonStructure:
         self.P = P
         self.Gamma = (Tensor._of(chart, coord_signature("udd"), {})
                       if Gamma is None else _tensor(chart, "udd", Gamma))
+        self._rows = {a for a, _ in P.components}
+        self._cols = {b for _, b in P.components}
         self._xd = None
         self._dd = None
         self._brackets = {}
@@ -85,6 +94,9 @@ class PoissonStructure:
                                             self.Gamma.components).items():
                 parts[al][be][(d,)] = -v
             self._xd = [[DiffForm(chart, p) for p in row] for row in parts]
+            # (c, dx^j) differentiates c only along these directions g.
+            self._xd_cols = [[(g, parts[g][j]) for g in range(n)
+                              if parts[g][j]] for j in range(n)]
         return self._xd[a][b]
 
     def dx_dx(self, a: int, b: int) -> DiffForm:
@@ -96,21 +108,26 @@ class PoissonStructure:
 
     def bracket_scalars(self, f: RatExpr, g: RatExpr) -> RatExpr:
         out = RatExpr.zero(self.chart)
-        n = self.n
-        df = [f.diff(j) for j in range(n)]
-        dg = [g.diff(j) for j in range(n)]
+        df = {a: f.diff(a) for a in self._rows}
+        dg = {b: g.diff(b) for b in self._cols}
         for (a, b), p in self.P.components.items():
             if not (df[a].is_zero() or dg[b].is_zero()):
                 out = out + p * df[a] * dg[b]
         return out
 
-    def _fn_dx(self, c: RatExpr, j: int) -> DiffForm:
-        """(c, dx^j) for a function c, by the chain rule on coordinates."""
-        out = DiffForm.zero(self.chart)
-        for g in range(self.n):
-            dc = c.diff(g)
-            if dc:
-                out = out + DiffForm.from_scalar(dc) * self.coord_dx(g, j)
+    def _with_dx(self, c: RatExpr, j: int, dc: dict) -> dict:
+        """(c, dx^j) for a function c as {(d,): coefficient}, by the chain
+        rule on coordinates; dc caches the derivatives of c."""
+        if self._xd is None:
+            self.coord_dx(j, j)
+        out = {}
+        for g, parts in self._xd_cols[j]:
+            if g not in dc:
+                dc[g] = c.diff(g)
+            if dc[g]:
+                for d, v in parts.items():
+                    t = dc[g] * v
+                    out[d] = out[d] + t if d in out else t
         return out
 
     # -- full bracket ----------------------------------------------------
@@ -124,10 +141,11 @@ class PoissonStructure:
         key = (f, g)
         out = self._brackets.get(key)
         if out is None:
-            out = DiffForm.zero(self.chart)
+            acc = {}
             for idxf, a in f.parts.items():
                 for idxg, b in g.parts.items():
-                    out = out + self._br_mono(a, idxf, b, idxg)
+                    self._expand(acc, a, idxf, b, idxg)
+            out = DiffForm(self.chart, acc)
             self._brackets[key] = out
         return out
 
@@ -142,63 +160,35 @@ class PoissonStructure:
             return DiffForm.const(self.chart, f)
         raise TypeError(f"cannot bracket {type(f).__name__}")
 
-    def _dx_form(self, idxs: tuple) -> DiffForm:
-        return DiffForm(self.chart, {idxs: RatExpr.one(self.chart)}) if idxs else \
-            DiffForm.const(self.chart, 1)
+    def _expand(self, acc: dict, a: RatExpr, I: tuple, b: RatExpr, J: tuple):
+        """Add the terms of (a dxI, b dxJ) in the module docstring to acc;
+        add puts s * c * factors on dx^idxs[0] ^ dx^idxs[1] ^ ...."""
+        def add(idxs, s, c, *factors):
+            sign, key = sort_indices(idxs)
+            if sign:
+                for m in factors:
+                    c = c * m
+                if sign * s < 0:
+                    c = -c
+                acc[key] = acc[key] + c if key in acc else c
 
-    def _br_mono(self, a: RatExpr, I: tuple, b: RatExpr, J: tuple) -> DiffForm:
-        """(a dxI, b dxJ): peel the second argument by the derivation rule."""
-        if J:
-            t1 = self._br_mono_fn(a, I, b) * self._dx_form(J)
-            t2 = DiffForm.from_scalar(b) * self._br_form_dxs(a, I, J)
-            return t1 + t2
-        return self._br_mono_fn(a, I, b)
-
-    def _br_mono_fn(self, a: RatExpr, I: tuple, b: RatExpr) -> DiffForm:
-        """(a dxI, b) with b a function: flip, then expand (b, a dxI)."""
-        fb = self.bracket_scalars(b, a)
-        out = DiffForm.from_scalar(fb) * self._dx_form(I)
-        if I:
-            out = out + DiffForm.from_scalar(a) * self._br_fn_dxs(b, I)
-        return -out
-
-    def _br_fn_dxs(self, b: RatExpr, I: tuple) -> DiffForm:
-        """(b, dxI) for a function b, peeling one factor at a time."""
-        head = self._fn_dx(b, I[0])
-        rest = I[1:]
-        out = head * self._dx_form(rest)
-        if rest:
-            out = out + self._dx_form((I[0],)) * self._br_fn_dxs(b, rest)
-        return out
-
-    def _br_form_dxs(self, a: RatExpr, I: tuple, J: tuple) -> DiffForm:
-        """(a dxI, dxJ) with J nonempty."""
-        j1, rest = J[0], J[1:]
-        out = self._br_one_dx(a, I, j1) * self._dx_form(rest)
-        if rest:
-            sub = self._dx_form((j1,)) * self._br_form_dxs(a, I, rest)
-            if len(I) % 2:
-                sub = -sub
-            out = out + sub
-        return out
-
-    def _br_one_dx(self, a: RatExpr, I: tuple, j: int) -> DiffForm:
-        """(a dxI, dx^j)."""
-        if not I:
-            return self._fn_dx(a, j)
-        inner = -(self._fn_dx(a, j) * self._dx_form(I))
-        inner = inner + DiffForm.from_scalar(a) * self._dx_dxs(j, I)
-        if len(I) % 2 == 0:
-            inner = -inner
-        return inner
-
-    def _dx_dxs(self, j: int, I: tuple) -> DiffForm:
-        """(dx^j, dxI) with I nonempty."""
-        i1, rest = I[0], I[1:]
-        out = self.dx_dx(j, i1) * self._dx_form(rest)
-        if rest:
-            out = out - self._dx_form((i1,)) * self._dx_dxs(j, rest)
-        return out
+        if not set(I).intersection(J):  # else dx^I dx^J = 0: skip {b, a}
+            add(I + J, -1, self.bracket_scalars(b, a))
+        db = {}
+        for k, i in enumerate(I):
+            for d, v in self._with_dx(b, i, db).items():
+                add(I[:k] + d + I[k + 1:] + J, -1, a, v)
+        da = {}
+        s = 1 if len(I) % 2 else -1
+        for l, j in enumerate(J):
+            lo, hi = J[:l], J[l + 1:]
+            sl = -s if len(I) * l % 2 else s
+            for d, v in self._with_dx(a, j, da).items():
+                add(lo + d + I + hi, -sl, b, v)
+            for k, i in enumerate(I):
+                for pq, w in self.dx_dx(j, i).parts.items():
+                    add(lo + I[:k] + pq + I[k + 1:] + hi,
+                        -sl if k % 2 else sl, b, a, w)
 
 
 # -- sampled axiom checks ------------------------------------------------
@@ -224,11 +214,7 @@ def random_scalar(chart: Chart, rng: random.Random, degree: int) -> RatExpr:
             coeff = GaussianRational(c, rng.randint(-2, 2))
         else:
             coeff = GaussianRational(c)
-        term = RatExpr.const(chart, coeff)
-        for jv, k in enumerate(exps):
-            for _ in range(k):
-                term = term * RatExpr.variable(chart, jv)
-        out = out + term
+        out = out + RatExpr(chart, Poly.monomial(n, tuple(exps), coeff))
     return out
 
 

@@ -73,8 +73,17 @@ class DiffForm:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def _of(chart: Chart, parts: dict) -> "DiffForm":
+        """The form with `parts`, which hold no zero: taken as is."""
+        out = object.__new__(DiffForm)
+        object.__setattr__(out, "chart", chart)
+        object.__setattr__(out, "parts", parts)
+        object.__setattr__(out, "_hash", None)
+        return out
+
+    @staticmethod
     def zero(chart: Chart) -> "DiffForm":
-        return DiffForm(chart)
+        return DiffForm._of(chart, {})
 
     @staticmethod
     def from_scalar(f: RatExpr) -> "DiffForm":
@@ -91,15 +100,15 @@ class DiffForm:
     @staticmethod
     def d_coord(chart: Chart, which) -> "DiffForm":
         idx = chart.index(which) if isinstance(which, str) else which
-        return DiffForm(chart, {(idx,): RatExpr.one(chart)})
+        return DiffForm._of(chart, {(idx,): RatExpr.one(chart)})
 
     @staticmethod
     def monomial(coeff: RatExpr, idxs: tuple) -> "DiffForm":
         sign, sorted_idxs = sort_indices(tuple(idxs))
-        if sign == 0:
-            return DiffForm(coeff.chart)
+        if sign == 0 or not coeff:
+            return DiffForm.zero(coeff.chart)
         c = coeff if sign == 1 else -coeff
-        return DiffForm(coeff.chart, {sorted_idxs: c})
+        return DiffForm._of(coeff.chart, {sorted_idxs: c})
 
     # -- structure ----------------------------------------------------
 
@@ -162,7 +171,7 @@ class DiffForm:
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffForm(self.chart, {i: -c for i, c in self.parts.items()})
+        return DiffForm._of(self.chart, {i: -c for i, c in self.parts.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)

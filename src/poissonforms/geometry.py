@@ -136,8 +136,9 @@ class Tensor:
         def at(idx):
             c = components
             for i in idx:
-                if len(c) != chart.n:
-                    raise ValueError("component axis has wrong length")
+                if not isinstance(c, (list, tuple)) or len(c) != chart.n:
+                    raise ValueError("component axis is not a list or tuple "
+                                     "of the chart's length")
                 c = c[i]
             return c
 

@@ -89,6 +89,8 @@ class Chart:
         return tuple(self.partner[j] for j in range(self.n))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Chart):
             return NotImplemented
         return (self.names, self.kind, self.pairs) == (other.names, other.kind, other.pairs)

@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 
 from poissonforms.bracket import (PoissonStructure, SamplePlan, _generators,
@@ -232,3 +234,34 @@ def test_complex_layer_reuses_generator_brackets():
     assert not gen_pairs & set(memo.stored)
     assert len(memo.stored) == len(set(memo.stored))
     assert set(memo.stored) == pairs - before
+
+
+def test_flat_bracket_differentiates_only_in_bracket_scalars(monkeypatch):
+    """With Gamma = 0 every (c, dx^j) vanishes, so the bracket of two
+    forms differentiates their coefficients only to bracket functions."""
+    st = _darboux4()
+    ch = st.chart
+    inside, calls = [], collections.Counter()
+    diff = RatExpr.diff
+
+    def counted_diff(self, which):
+        calls["bracket_scalars" if inside else "elsewhere"] += 1
+        return diff(self, which)
+
+    scalars = st.bracket_scalars
+
+    def watched_scalars(f, g):
+        inside.append(None)
+        try:
+            return scalars(f, g)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(RatExpr, "diff", counted_diff)
+    st.bracket_scalars = watched_scalars
+    f = parse_form("q1*p2*d[q1]^d[p1]", ch)
+    g = parse_form("q2*p1*d[q2]^d[p2] + p1*d[q1]^d[q2]", ch)
+    out = st.bracket(f, g)
+    assert calls["bracket_scalars"] > 0
+    assert calls["elsewhere"] == 0
+    assert out == parse_form("(q1*p1 - q2*p2)*d[q1]^d[q2]^d[p1]^d[p2]", ch)

@@ -102,6 +102,16 @@ def test_tensor_shape_and_signature():
         Tensor(ch, (("sideways", "coordinate"),), ["q", "p"])
 
 
+def test_tensor_reads_only_lists_and_tuples_as_axes():
+    ch = Chart(("x", "y"))
+    with pytest.raises(ValueError, match="list or tuple"):
+        PoissonStructure(ch, ["00", "00"])
+    with pytest.raises(ValueError, match="list or tuple"):
+        Tensor(ch, coord_signature("u"), "xy")
+    t = Tensor(ch, coord_signature("ud"), (("x", "0"), ["1", "y"]))
+    assert t[0, 0] == parse_scalar("x", ch) and t[1, 0] == 1
+
+
 def test_tensor_lookup_needs_one_index_per_slot():
     ch = Chart(("q", "p"))
     t = Tensor(ch, coord_signature("ud"), [["q", "0"], ["1", "p"]])
