@@ -11,8 +11,7 @@ from .bracket import (PoissonStructure, SamplePlan, random_form,
 from .canonical import (CanonicalConstants, CanonicalTransform, Frame,
                         build_canonical, canonical_chart, check_constants,
                         e_basis, find_torsion_zero, frame_curvature,
-                        poisson_matrix, transform_constants, xi_realization,
-                        yang_baxter_defect, yang_baxter_symmetrized)
+                        poisson_matrix, transform_constants, xi_realization)
 from .complexforms import (eta_forms, frame_split, kahler_form,
                            verify_complex_axioms)
 from .files import (load_constants, load_structure, save_constants,
@@ -46,7 +45,6 @@ __all__ = [
     "random_form", "random_scalar", "save_constants",
     "save_structure", "torsion", "transform_constants", "triple_constants",
     "verify_axioms", "verify_complex_axioms", "xi_realization",
-    "yang_baxter_defect", "yang_baxter_symmetrized",
 ]
 
 __version__ = "0.1.0"

@@ -23,22 +23,11 @@ import random
 from dataclasses import dataclass
 
 from .forms import DiffForm, sort_indices
-from .geometry import Tensor, _contract, coord_signature
+from .geometry import Tensor, _as_tensor, _contract, coord_signature
 from .polynomials import Poly
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
 from .scalars import GaussianRational
-
-
-def _tensor(chart: Chart, spec: str, T) -> Tensor:
-    """T as a coordinate tensor with signature `spec`: a Tensor with that
-    signature on the chart, or a nested array read by the Tensor
-    constructor."""
-    if not isinstance(T, Tensor):
-        return Tensor(chart, coord_signature(spec), T)
-    if T.chart != chart or T.signature != coord_signature(spec):
-        raise ValueError(f"expected a {spec} tensor on the structure's chart")
-    return T
 
 
 def _first_failure(P: Tensor, partner, holds):
@@ -59,7 +48,7 @@ class PoissonStructure:
     directions g with (x^g, dx^j) nonzero."""
 
     def __init__(self, chart: Chart, P, Gamma=None):
-        P = _tensor(chart, "uu", P)
+        P = _as_tensor(chart, coord_signature("uu"), P)
         bad = _first_failure(P, lambda a, b: (b, a), lambda v, w: v == -w)
         if bad is not None:
             raise ValueError("P is not antisymmetric at (%d,%d)" % bad)
@@ -71,8 +60,9 @@ class PoissonStructure:
                 raise ValueError("P is not hermitian at (%d,%d)" % bad)
         self.chart = chart
         self.P = P
-        self.Gamma = (Tensor._of(chart, coord_signature("udd"), {})
-                      if Gamma is None else _tensor(chart, "udd", Gamma))
+        udd = coord_signature("udd")
+        self.Gamma = (Tensor._of(chart, udd, {}) if Gamma is None
+                      else _as_tensor(chart, udd, Gamma))
         self._rows = {a for a, _ in P.components}
         self._cols = {b for _, b in P.components}
         self._xd = None

@@ -8,14 +8,16 @@ validates the constants, builds the structure and its frame, transforms
 constants under affine changes of the coordinates, and finds torsion
 zeros.
 
-Storage: Rt, f and g use the tensor storage of the geometry module,
-dicts {index tuple: value} holding only the nonzero entries, with Rt
-keyed (A,B,C,D), f keyed (A,B,C) and g keyed (A,B).  Rt is antisymmetric
-in (A,B) and symmetric in (C,D); f is antisymmetric in (A,B); g
-antisymmetric.  Every law over them, and the connection and frame
-curvature of the built structure, is a sparse contraction with the
-geometry helpers (`_contract`, `_sum`), so its cost follows the number
-of nonzero entries, not the dimension.
+Storage: everything here uses the tensor storage of the geometry
+module, dicts {index tuple: value} holding only the nonzero entries.
+Rt is keyed (A,B,C,D), f (A,B,C) and g (A,B); Rt is antisymmetric in
+(A,B) and symmetric in (C,D), f is antisymmetric in (A,B) and g is
+antisymmetric.  A transform's N, Ninv and V are such dicts too, and the
+built P and the frame matrices are Tensors holding them.  Every law over
+them, the inverse of P, and the connection and frame curvature of the
+built structure are sparse contractions with the geometry helpers
+(`_contract`, `_sum`) or sparse eliminations with `linalg`, so their
+cost follows the number of nonzero entries, not the dimension.
 """
 
 from __future__ import annotations
@@ -26,14 +28,14 @@ from fractions import Fraction
 
 from .bracket import PoissonStructure, SamplePlan, random_scalar, random_form
 from .forms import DiffForm
-from .geometry import (Tensor, _accumulate, _add_first_nonzero, _component,
-                       _contract, _entries, _gradient, _sum, coord_signature,
-                       curvature)
-from .linalg import identity_matrix, invert_matrix, mat_mul, solve
+from .geometry import (COORD, FRAME, Tensor, _accumulate, _add_first_nonzero,
+                       _as_tensor, _component, _contract, _gradient,
+                       _read_array, _sum, coord_signature, curvature)
+from .linalg import invert_matrix, solve
 from .polynomials import Poly
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
-from .scalars import GaussianRational, ZERO
+from .scalars import GaussianRational
 
 
 def _entry_dict(dim: int, name: str, rank: int, entries) -> dict:
@@ -79,75 +81,54 @@ class CanonicalConstants:
                 == (other.dim, other.Rt, other.f, other.g))
 
 
-def _gr_matrix(M, n):
-    M = [[GaussianRational.coerce(v) for v in row] for row in M]
-    if len(M) != n or any(len(row) != n for row in M):
-        raise ValueError("matrix has wrong shape")
-    return M
-
-
 class CanonicalTransform:
-    """Affine change F -> N F + V with exact scalar entries."""
+    """Affine change F -> N F + V with exact scalar entries, on `dim`
+    coordinates; N, its inverse Ninv and V are dicts of nonzero entries
+    keyed (A, B) and (A,)."""
 
-    __slots__ = ("N", "V", "Ninv")
+    __slots__ = ("dim", "N", "V", "Ninv")
 
     def __init__(self, N, V=None):
+        """N is an n x n nested list and V a list of length n, zero when
+        omitted."""
         n = len(N)
-        self.N = _gr_matrix(N, n)
-        if V is None:
-            V = [0] * n
-        self.V = [GaussianRational.coerce(v) for v in V]
-        if len(self.V) != n:
-            raise ValueError("V has wrong length")
-        self.Ninv = invert_matrix(self.N)
-        if self.Ninv is None:
+        t = CanonicalTransform._of(
+            n, _read_array(N, n, 2, GaussianRational.coerce, "N"),
+            {} if V is None else _read_array(V, n, 1, GaussianRational.coerce,
+                                             "V"))
+        self.dim, self.N, self.V, self.Ninv = t.dim, t.N, t.V, t.Ninv
+
+    @staticmethod
+    def _of(dim: int, N: dict, V: dict) -> "CanonicalTransform":
+        """The transform with the nonzero entries N and V; raises
+        ValueError when N is singular."""
+        Ninv = invert_matrix(N, dim)
+        if Ninv is None:
             raise ValueError("N is singular")
+        t = object.__new__(CanonicalTransform)
+        t.dim, t.N, t.V, t.Ninv = dim, N, V, Ninv
+        return t
 
     @staticmethod
     def identity(dim: int) -> "CanonicalTransform":
-        return CanonicalTransform(
-            [[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
+        return CanonicalTransform._of(
+            dim, {(i, i): GaussianRational(1) for i in range(dim)}, {})
 
     def compose(self, first: "CanonicalTransform") -> "CanonicalTransform":
         """Apply `first`, then self: F -> N N' F + N V' + V."""
-        NV = mat_mul(self.N, [[v] for v in first.V])
-        return CanonicalTransform(mat_mul(self.N, first.N),
-                                  [row[0] + v for row, v in zip(NV, self.V)])
+        if first.dim != self.dim:
+            raise ValueError("transform dimensions differ")
+        return CanonicalTransform._of(
+            self.dim, _contract("ab,bc->ac", self.N, first.N),
+            _sum([(1, "ab,b->a", [self.N, first.V]), (1, "a->a", [self.V])]))
 
 
-def yang_baxter_defect(c: CanonicalConstants, A, B, C, D, E, F) -> GaussianRational:
-    """Component of the commutator sum [Rt12,Rt13]+[Rt12,Rt23]+[Rt13,Rt23]
-    acting on a triple tensor product, with (A,B,C) the output indices and
-    (D,E,F) the input indices.
-
-    The cubic part of the three-function Jacobi residual for the quadratic
-    coefficient matrix is -1/4 of this tensor contracted with the symmetric
-    product of the coordinates, so only the (D,E,F)-symmetrized part is
-    constrained; the raw tensor may be nonzero on consistent data."""
-    def Rt(*idx):
-        return c.Rt.get(idx, ZERO)
-
-    acc = ZERO
-    for K in range(c.dim):
-        acc = (acc
-               + Rt(A, B, K, E) * Rt(K, C, D, F) - Rt(A, C, K, F) * Rt(K, B, D, E)
-               + Rt(A, B, D, K) * Rt(K, C, E, F) - Rt(A, K, D, E) * Rt(B, C, K, F)
-               + Rt(A, C, D, K) * Rt(B, K, E, F) - Rt(A, K, D, F) * Rt(B, C, E, K))
-    return acc
-
-
-def yang_baxter_symmetrized(c: CanonicalConstants, A, B, C, D, E, F) -> GaussianRational:
-    """Coefficient of the cubic monomial built from coordinates (D,E,F) in
-    the contracted commutator sum: the defect summed over the distinct
-    permutations of (D,E,F).  Vanishing of all components is the exact
-    closure condition on Rt."""
-    acc = ZERO
-    for p in set(itertools.permutations((D, E, F))):
-        acc = acc + yang_baxter_defect(c, A, B, C, *p)
-    return acc
-
-
-# The six terms of yang_baxter_defect, summed over K (the letter k).
+# The commutator sum [Rt12,Rt13] + [Rt12,Rt23] + [Rt13,Rt23] acting on a
+# triple tensor product, with (a,b,c) the output and (d,e,f) the input
+# indices, is the sum of these six products over k.  The cubic part of
+# the three-function Jacobi residual of the quadratic P is -1/4 of it
+# contracted with F^d F^e F^f, so only its part symmetric in (d,e,f) is
+# constrained.
 _YANG_BAXTER_TERMS = ((1, "abke,kcdf->abcdef"), (-1, "ackf,kbde->abcdef"),
                       (1, "abdk,kcef->abcdef"), (-1, "akde,bckf->abcdef"),
                       (1, "acdk,bkef->abcdef"), (-1, "akdf,bcek->abcdef"))
@@ -206,17 +187,28 @@ def canonical_chart(dim: int, kind: str = "real", pairs=None) -> Chart:
     return Chart(names, kind=kind, pairs=pairs)
 
 
+# M^{aA} has a coordinate and a frame index, its inverse Minv_{Ab} a
+# frame and a coordinate index.
+M_SIGNATURE = (("up", COORD), ("up", FRAME))
+MINV_SIGNATURE = (("down", FRAME), ("down", COORD))
+
+
 class Frame:
     """Coefficient matrix M^{aA}, its inverse, and the potentials F^A with
-    M^{aA} = P^{ab} d_b F^A; on the canonical chart M is P itself."""
+    M^{aA} = P^{ab} d_b F^A; on the canonical chart M is P itself.  M and
+    Minv are Tensors with signatures M_SIGNATURE and MINV_SIGNATURE,
+    each given as a Tensor or a nested array."""
 
     __slots__ = ("chart", "M", "Minv", "Phi")
 
     def __init__(self, chart: Chart, M, Minv, Phi):
-        n = chart.n
-        if len(M) != n or len(Minv) != n or len(Phi) != n:
+        M = _as_tensor(chart, M_SIGNATURE, M)
+        Minv = _as_tensor(chart, MINV_SIGNATURE, Minv)
+        if len(Phi) != chart.n:
             raise ValueError("frame pieces have wrong shape")
-        if mat_mul(M, Minv) != identity_matrix(chart, n):
+        one = RatExpr.one(chart)
+        if (_contract("aB,Bc->ac", M.components, Minv.components)
+                != {(a, a): one for a in range(chart.n)}):
             raise ValueError("M and Minv are not inverse to each other")
         self.chart = chart
         self.M = M
@@ -224,14 +216,11 @@ class Frame:
         self.Phi = list(Phi)
 
     def one_forms(self) -> list:
-        """e_A = Minv[A][b] dx^b."""
-        es = []
-        for A in range(self.chart.n):
-            w = DiffForm.zero(self.chart)
-            for b in range(self.chart.n):
-                w = w + DiffForm.monomial(self.Minv[A][b], (b,))
-            es.append(w)
-        return es
+        """e_A = Minv[A, b] dx^b."""
+        parts = [{} for _ in range(self.chart.n)]
+        for (A, b), v in self.Minv.components.items():
+            parts[A][(b,)] = v
+        return [DiffForm._of(self.chart, p) for p in parts]
 
     def potential_form(self, rows) -> DiffForm:
         """-e_A F^A summed over the frame rows A in `rows`."""
@@ -242,29 +231,30 @@ class Frame:
         return out
 
     def two_form(self, coeffs: dict) -> DiffForm:
-        """c e_A^e_B summed over the items (A, B): c of `coeffs`, skipping
-        zero coefficients; c is a scalar or a rational expression."""
+        """c e_A^e_B summed over the items (A, B): c of `coeffs`, a dict of
+        nonzero scalars or rational expressions."""
         es = self.one_forms()
         out = DiffForm.zero(self.chart)
         for (A, B), c in coeffs.items():
-            if not c.is_zero():
-                out = out + (es[A] * es[B]).scale(c)
+            out = out + (es[A] * es[B]).scale(c)
         return out
 
 
-def poisson_matrix(c: CanonicalConstants, chart: Chart):
-    """P^{AB} as rational expressions on the chart, each polynomial entry
-    built from its terms: g^{AB}, f^{AB}_C F^C and (1/2) Rt^{AB}_{CD} F^C F^D."""
-    n = c.dim
+def poisson_matrix(c: CanonicalConstants, chart: Chart) -> Tensor:
+    """P^{AB} as a Tensor with signature uu on the chart, each polynomial
+    entry built from its terms: g^{AB}, f^{AB}_C F^C and
+    (1/2) Rt^{AB}_{CD} F^C F^D."""
     half = GaussianRational(Fraction(1, 2))
-    terms = [[{} for _ in range(n)] for _ in range(n)]
+    terms = {}
     for (A, B, *coords), v in itertools.chain(
             c.g.items(), c.f.items(),
             ((idx, half * v) for idx, v in c.Rt.items())):
         exps = tuple(coords.count(k) for k in range(chart.n))
-        t = terms[A][B]
+        t = terms.setdefault((A, B), {})
         t[exps] = t[exps] + v if exps in t else v
-    return [[RatExpr(chart, Poly(chart.n, t)) for t in row] for row in terms]
+    return Tensor._of(chart, coord_signature("uu"), {
+        AB: v for AB, t in terms.items()
+        if not (v := RatExpr(chart, Poly(chart.n, t))).is_zero()})
 
 
 def build_canonical(c: CanonicalConstants, chart: Chart | None = None):
@@ -278,15 +268,16 @@ def build_canonical(c: CanonicalConstants, chart: Chart | None = None):
         chart = canonical_chart(c.dim)
     if chart.n != c.dim:
         raise ValueError("chart dimension does not match constants")
+    n = c.dim
     P = poisson_matrix(c, chart)
-    Pinv = invert_matrix(P)
+    Pinv = invert_matrix(P.components, n)
     if Pinv is None:
         raise ValueError("P is identically singular")
-    n = c.dim
-    G = _contract("ad,dcb->abc", _entries(P, 2), _gradient(_entries(Pinv, 2), n))
+    G = _contract("ad,dcb->abc", P.components, _gradient(Pinv, n))
     s = PoissonStructure(chart, P, Tensor._of(chart, coord_signature("udd"), G))
     phi = [RatExpr.variable(chart, k) for k in range(n)]
-    fr = Frame(chart, P, Pinv, phi)
+    fr = Frame(chart, Tensor._of(chart, M_SIGNATURE, P.components),
+               Tensor._of(chart, MINV_SIGNATURE, Pinv), phi)
     return s, fr
 
 
@@ -294,10 +285,11 @@ def frame_curvature(s: PoissonStructure, fr: Frame) -> dict:
     """The nonzero components {(A, B, C, D): value} of the twisted
     curvature moved to the frame basis: contract with P_{AE} on the up
     slot and P on the two form slots."""
+    M = fr.M.components
     T = _contract("ebfg,ae->abfg", curvature(s, "tilde").components,
-                  _entries(fr.Minv, 2))
-    T = _contract("abfg,cf->abcg", T, _entries(fr.M, 2))
-    return _contract("abcg,dg->abcd", T, _entries(fr.M, 2))
+                  fr.Minv.components)
+    T = _contract("abfg,cf->abcg", T, M)
+    return _contract("abcg,dg->abcd", T, M)
 
 
 def e_basis(s: PoissonStructure, fr: Frame):
@@ -330,10 +322,10 @@ def transform_constants(c: CanonicalConstants, t: CanonicalTransform) -> Canonic
     Rt' = N N Rt N^{-1} N^{-1}, f' = N N (f - Rt W) N^{-1} and
     g' = N N (g - f W + (1/2) Rt W W)."""
     n = c.dim
-    if len(t.N) != n:
+    if t.dim != n:
         raise ValueError("transform dimension does not match constants")
-    N, Ninv = _entries(t.N, 2), _entries(t.Ninv, 2)
-    W = _contract("gh,h->g", Ninv, _entries(t.V, 1))
+    N, Ninv = t.N, t.Ninv
+    W = _contract("gh,h->g", Ninv, t.V)
     f = _sum([(1, "efg->efg", [c.f]), (-1, "efgh,h->efg", [c.Rt, W])])
     g = _sum([(1, "ef->ef", [c.g]), (-1, "efg,g->ef", [c.f, W]),
               (Fraction(1, 2), "efgh,g,h->ef", [c.Rt, W, W])])
@@ -420,7 +412,7 @@ def xi_realization(s: PoissonStructure, fr: Frame, plan: SamplePlan | None = Non
                        if C2 == C})
           for C in range(n)]
     for a in range(n):
-        want = sum((fe[C].scale(-(half * fr.M[a][C])) for C in range(n)),
+        want = sum((fe[C].scale(-(half * fr.M[a, C])) for C in range(n)),
                    DiffForm.zero(chart))
         diff = s.bracket(xi, DiffForm.d_coord(chart, a)) - want
         rep.add("xi-on-differentials", diff.is_zero(), str(diff),
@@ -434,18 +426,13 @@ def xi_realization(s: PoissonStructure, fr: Frame, plan: SamplePlan | None = Non
 
 def find_torsion_zero(c: CanonicalConstants):
     """Translation making the linear part vanish: solve
-    Rt^{AB}_{CD} W^D + f^{AB}_C = 0 for W, then translate the origin
-    there.  None when the system has no solution.  Only the equations
-    (A,B,C) with a nonzero Rt or f entry are not 0 = 0."""
+    Rt^{AB}_{CD} W^D + f^{AB}_C = 0, one equation per (A, B, C), for W,
+    then translate the origin there.  None when the system has no
+    solution."""
     n = c.dim
-    rows = sorted({idx[:3] for idx in c.Rt} | set(c.f))
-    if not rows:
-        return CanonicalTransform.identity(n)
-    W = solve([[c.Rt.get((A, B, C, D), ZERO) for D in range(n)]
-               for A, B, C in rows],
-              [-c.f.get(idx, ZERO) for idx in rows])
+    W = solve({(idx[:3], idx[3]): v for idx, v in c.Rt.items()},
+              {(idx,): -v for idx, v in c.f.items()}, n)
     if W is None:
         return None
-    return CanonicalTransform(
-        [[1 if i == j else 0 for j in range(n)] for i in range(n)],
-        [-w for w in W])
+    return CanonicalTransform._of(n, CanonicalTransform.identity(n).N,
+                                  {idx: -w for idx, w in W.items()})

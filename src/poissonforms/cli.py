@@ -117,7 +117,9 @@ def _cmd_canonical_torsion_zero(args) -> int:
     if t is None:
         sys.stdout.write("no translation removes the linear part\n")
         return 1
-    out = {"translation": [scalar_to_dict(v) for v in t.V],
+    zero = GaussianRational(0)
+    out = {"translation": [scalar_to_dict(t.V.get((k,), zero))
+                           for k in range(t.dim)],
            "constants": constants_to_dict(transform_constants(c, t))}
     _emit(args, dumps(out))
     return 0

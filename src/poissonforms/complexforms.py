@@ -19,8 +19,8 @@ from .bracket import (PoissonStructure, SamplePlan, _generators,
 from .canonical import Frame, _check_realizations, _quadratic_constants
 from .forms import DiffForm
 from .geometry import (Tensor, _accumulate, _add_first_nonzero, _component,
-                       _entries, _sum, coord_signature, covariant_derivative,
-                       off_block_components)
+                       _read_array, _sum, coord_signature,
+                       covariant_derivative, off_block_components)
 from .linalg import det_matrix
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
@@ -38,8 +38,10 @@ def frame_split(chart: Chart, fr: Frame):
     Raises when any row mixes the two."""
     _require_complex(chart)
     holo, anti = [], []
-    for A in range(chart.n):
-        sup = {b for b in range(chart.n) if not fr.Minv[A][b].is_zero()}
+    support = [set() for _ in range(chart.n)]
+    for A, b in fr.Minv.components:
+        support[A].add(b)
+    for A, sup in enumerate(support):
         if sup and sup <= chart.holo:
             holo.append(A)
         elif sup and not (sup & chart.holo):
@@ -194,16 +196,14 @@ def kahler_form(s: PoissonStructure, fr: Frame, h=None,
         H = {(A, B): v for (A, B), v in cons.g.items()
              if A in holo_rows and B in anti_rows}
     else:
-        hmat = [[GaussianRational.coerce(v) for v in row] for row in h]
-        if len(hmat) != n or any(len(row) != n for row in hmat):
-            raise ValueError("frame metric must be an n x n matrix")
-        H = _entries(hmat, 2)
+        H = _read_array(h, n, 2, GaussianRational.coerce, "frame metric")
         if any(A not in holo_rows or B not in anti_rows for A, B in H):
             raise ValueError("frame metric must pair holomorphic "
                              "rows with antiholomorphic ones")
-        block = [[RatExpr.const(chart, hmat[A][B]) for B in anti_rows]
-                 for A in holo_rows]
-        if len(holo_rows) != len(anti_rows) or det_matrix(block).is_zero():
+        block = {(holo_rows.index(A), anti_rows.index(B)): v
+                 for (A, B), v in H.items()}
+        if (len(holo_rows) != len(anti_rows)
+                or det_matrix(block, len(holo_rows)) == 0):
             raise ValueError("degenerate frame metric")
 
     frameK = fr.two_form(H)
@@ -253,7 +253,7 @@ def kahler_form(s: PoissonStructure, fr: Frame, h=None,
         (K, lambda w: DiffForm.zero(chart), (central, central, None))], False)
 
     # the lowered metric h_{AB} (Minv^A_a Minv^B_b + Minv^A_b Minv^B_a)
-    Minv = _entries(fr.Minv, 2)
+    Minv = fr.Minv.components
     lowered = _sum((1, spec, [H, Minv, Minv])
                    for spec in ("AB,Aa,Bb->ab", "AB,Ab,Ba->ab"))
     T = covariant_derivative(

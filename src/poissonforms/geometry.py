@@ -5,15 +5,17 @@ its twist (lower indices swapped), the integrability report, and the
 connection determined by a covariantly constant metric.  The laws read a
 `bracket.PoissonStructure` s only through s.chart, s.P and s.Gamma.
 
-Index storage: a tensor is a dict {index tuple: value} holding only its
-nonzero components, and a structure's P and Gamma are Tensors holding
-such dicts; Gamma^a_{bc} is keyed (a, b, c) with up index a, direction b
-and form index c, as in the bracket module, and a gradient appends the
-direction of the derivative as the last index.  Nested arrays of
-components are read by the `Tensor` constructor and written by
-`to_lists`/`to_strings`.  Every law is a sparse contraction (`_contract`,
-an einsum that visits only nonzero entries) or a sum of a few, so its
-cost follows the number of nonzero components, not the dimension.  The
+Index storage: every tensor, matrix and vector of the package is a dict
+{index tuple: value} holding only its nonzero components.  A structure's
+P and Gamma, a frame's matrices and a metric are Tensors holding such
+dicts; Gamma^a_{bc} is keyed (a, b, c) with up index a, direction b and
+form index c, as in the bracket module, and a gradient appends the
+direction of the derivative as the last index.  Nested arrays are read
+only at the boundary, by `_read_array` (the `Tensor` constructor uses it),
+and written by `to_strings`.  Every law is a sparse contraction
+(`_contract`, an einsum that visits only nonzero entries) or a sum of a
+few, so its cost follows the number of nonzero components, not the
+dimension; the linear algebra of `linalg` works on the same dicts.  The
 package's other sparse laws use the same helpers.
 """
 
@@ -103,13 +105,19 @@ def _entry(chart: Chart, v) -> RatExpr:
     return RatExpr.const(chart, v)
 
 
-def _entries(nested, rank: int) -> dict:
-    """The nonzero entries of a nested array (rank levels of lists) keyed
-    by index tuple, in index order."""
-    if rank == 0:
-        return {} if nested.is_zero() else {(): nested}
-    return {(i,) + idx: v for i, sub in enumerate(nested)
-            for idx, v in _entries(sub, rank - 1).items()}
+def _read_array(nested, n: int, rank: int, entry, what: str) -> dict:
+    """The nonzero entry(v), keyed by index tuple, of the leaves v of
+    `nested`: rank levels of lists or tuples, each of length n.  Raises
+    ValueError, naming `what`, on any other shape."""
+    level = [((), nested)]
+    for _ in range(rank):
+        if any(not isinstance(c, (list, tuple)) or len(c) != n
+               for _, c in level):
+            raise ValueError(f"{what} must have shape {' x '.join('n' * rank)}"
+                             f", each axis a list or tuple of length n = {n}")
+        level = [(idx + (i,), sub) for idx, c in level
+                 for i, sub in enumerate(c)]
+    return {idx: v for idx, c in level if not (v := entry(c)).is_zero()}
 
 
 def _gradient(T: dict, n: int) -> dict:
@@ -117,6 +125,15 @@ def _gradient(T: dict, n: int) -> dict:
     coordinates, keyed by the entry's index with the coordinate appended."""
     return {idx + (k,): dv for idx, v in T.items() for k in range(n)
             if not (dv := v.diff(k)).is_zero()}
+
+
+def _signature(signature) -> tuple:
+    """A tensor signature as a tuple of (position, kind) pairs, checked."""
+    sig = tuple((p, k) for p, k in signature)
+    for p, k in sig:
+        if p not in ("up", "down") or k not in (COORD, FRAME):
+            raise ValueError(f"bad index slot ({p!r},{k!r})")
+    return sig
 
 
 class Tensor:
@@ -133,31 +150,19 @@ class Tensor:
     def __init__(self, chart: Chart, signature, components):
         """`components` nests one level of lists per slot, each as long as
         the chart dimension; entries are expressions, strings or numbers."""
-        def at(idx):
-            c = components
-            for i in idx:
-                if not isinstance(c, (list, tuple)) or len(c) != chart.n:
-                    raise ValueError("component axis is not a list or tuple "
-                                     "of the chart's length")
-                c = c[i]
-            return c
-
-        t = Tensor.from_fn(chart, signature, at)
-        self.chart, self.signature, self.components = chart, t.signature, t.components
+        self.chart, self.signature = chart, _signature(signature)
+        self.components = _read_array(
+            components, chart.n, self.rank, lambda v: _entry(chart, v),
+            "tensor components")
 
     @staticmethod
     def from_fn(chart: Chart, signature, fn) -> "Tensor":
         """The tensor whose component at each index tuple idx is fn(idx)."""
-        sig = tuple((p, k) for p, k in signature)
-        for p, k in sig:
-            if p not in ("up", "down") or k not in (COORD, FRAME):
-                raise ValueError(f"bad index slot ({p!r},{k!r})")
-        t = Tensor._of(chart, sig, {})
-        for idx in t.indices():
-            v = _entry(chart, fn(idx))
-            if not v.is_zero():
-                t.components[idx] = v
-        return t
+        sig = _signature(signature)
+        indices = itertools.product(range(chart.n), repeat=len(sig))
+        return Tensor._of(chart, sig, {
+            idx: v for idx in indices
+            if not (v := _entry(chart, fn(idx))).is_zero()})
 
     @staticmethod
     def _of(chart: Chart, signature: tuple, components: dict) -> "Tensor":
@@ -222,6 +227,18 @@ class Tensor:
         sig = "".join("u" if p == "up" else "d" for p, _ in self.signature)
         kinds = "".join(k[0] for _, k in self.signature)
         return f"Tensor({sig}/{kinds}, {self.to_strings()!r})"
+
+
+def _as_tensor(chart: Chart, signature: tuple, T) -> Tensor:
+    """T as a tensor with `signature` on the chart: a Tensor with that
+    signature on the chart, or a nested array read by the Tensor
+    constructor."""
+    if not isinstance(T, Tensor):
+        return Tensor(chart, signature, T)
+    if T.chart != chart or T.signature != signature:
+        raise ValueError(f"expected a tensor with signature {signature} "
+                         "on the chart")
+    return T
 
 
 def _connection(s: PoissonStructure, which: str) -> dict:
@@ -313,7 +330,7 @@ def check_integrability(s: PoissonStructure) -> VerificationReport:
     _add_first_nonzero(rep, "jacobi-cyclic",
                        cyclic_jacobi(s).nonzero_components())
 
-    invertible = invert_matrix(s.P.to_lists()) is not None
+    invertible = invert_matrix(s.P.components, chart.n) is not None
     names = ["flatness", "poisson-parallel", "curvature-transport"]
     if chart.is_complex():
         names.append("block-diagonal")
@@ -339,25 +356,24 @@ def check_integrability(s: PoissonStructure) -> VerificationReport:
 
 
 class Metric:
-    """Symmetric covariant metric; inverse computed exactly when it exists."""
+    """Symmetric covariant metric h, a Tensor with signature dd, and its
+    inverse hinv with signature uu, computed exactly; hinv is None when h
+    is singular."""
 
     __slots__ = ("chart", "h", "hinv")
 
     def __init__(self, chart: Chart, h):
-        n = chart.n
-        h = [[_entry(chart, v) for v in row] for row in h]
-        if len(h) != n or any(len(row) != n for row in h):
-            raise ValueError("h must be an n x n matrix")
-        for a in range(n):
-            for b in range(a + 1, n):
-                if h[a][b] != h[b][a]:
-                    raise ValueError(f"h is not symmetric at ({a},{b})")
+        """h is a Tensor or a nested array read by the Tensor constructor."""
+        h = _as_tensor(chart, coord_signature("dd"), h)
+        bad = min((tuple(sorted(idx)) for idx, v in h.components.items()
+                   if h[idx[::-1]] != v), default=None)
+        if bad is not None:
+            raise ValueError("h is not symmetric at (%d,%d)" % bad)
         self.chart = chart
         self.h = h
-        self.hinv = invert_matrix(h)
-
-    def as_tensor(self) -> Tensor:
-        return Tensor(self.chart, coord_signature("dd"), self.h)
+        hinv = invert_matrix(h.components, chart.n)
+        self.hinv = (None if hinv is None
+                     else Tensor._of(chart, coord_signature("uu"), hinv))
 
 
 def connection_from_metric(metric: Metric, s: PoissonStructure) -> Tensor:
@@ -368,10 +384,11 @@ def connection_from_metric(metric: Metric, s: PoissonStructure) -> Tensor:
         raise ValueError("metric lives on a different chart")
     if metric.hinv is None:
         raise ValueError("metric is singular")
-    Pinv = invert_matrix(s.P.to_lists())
+    P = s.P.components
+    Pinv = invert_matrix(P, chart.n)
     if Pinv is None:
         raise ValueError("P is singular")
-    P, hi = s.P.components, _entries(metric.hinv, 2)
+    hi = metric.hinv.components
     dP, dhi = _gradient(P, chart.n), _gradient(hi, chart.n)
     # Gamma^a_{bg} = (1/2) Pinv_{bd} h_{ge} I^{ade}, summed over d and e
     inner = _sum([(1, "ek,adk->ade", [hi, dP]), (1, "ak,dek->ade", [hi, dP]),
@@ -379,5 +396,4 @@ def connection_from_metric(metric: Metric, s: PoissonStructure) -> Tensor:
                   (-1, "ak,dek->ade", [P, dhi]), (-1, "dk,eak->ade", [P, dhi])])
     half = RatExpr.const(chart, 1) / RatExpr.const(chart, 2)
     return Tensor._of(chart, coord_signature("udd"), _sum([
-        (half, "bd,ge,ade->abg", [_entries(Pinv, 2), _entries(metric.h, 2),
-                                  inner])]))
+        (half, "bd,ge,ade->abg", [Pinv, metric.h.components, inner])]))

@@ -1,48 +1,37 @@
 """Exact matrix arithmetic over a field.
 
-Entries are exact scalars (GaussianRational) or rational expressions
-(RatExpr); both support is_zero, +, -, * and /, and both accept integer
-operands, so one Gauss-Jordan elimination serves determinants, inverses
-and linear solves over either field without rounding.
+A matrix is a dict {(row, column): value} and a vector a dict
+{(index,): value}, holding only the nonzero entries, as everywhere in
+the package.  Entries are exact scalars (GaussianRational) or rational
+expressions (RatExpr); both support is_zero, +, -, * and /, and both
+accept integer operands, so one Gauss-Jordan elimination serves
+determinants, inverses and linear solves over either field without
+rounding.  The elimination works on rows {column: value} and visits only
+their nonzero entries, as sympy's `sdm_irref` does.
 """
 
 from __future__ import annotations
 
-from .ratexpr import Chart, RatExpr
+
+def _rows(M: dict) -> dict:
+    """The nonzero rows of M as {row: {column: value}}."""
+    rows = {}
+    for (i, j), v in M.items():
+        rows.setdefault(i, {})[j] = v
+    return rows
 
 
-def identity_matrix(chart: Chart, n: int):
-    one = RatExpr.const(chart, 1)
-    zero = RatExpr.zero(chart)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for t in range(1, k):
-                acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _gauss_jordan(rows, ncols: int):
-    """Reduce `rows` in place to reduced row echelon form in their first
-    `ncols` columns; the pivot for each column is the first nonzero row at
-    or below the current one.  Returns the pivots as (column, value before
-    scaling) pairs and the number of row swaps."""
+def _gauss_jordan(rows: list, ncols: int):
+    """Reduce `rows`, dicts {column: value} of nonzero entries, in place
+    to reduced row echelon form in their first `ncols` columns; the pivot
+    for each column is the first row at or below the current one with an
+    entry there.  Returns the pivots as (column, value before scaling)
+    pairs and the number of row swaps."""
     pivots = []
     swaps = 0
-    r = 0
     for col in range(ncols):
-        if r == len(rows):
-            break
-        piv = next((k for k in range(r, len(rows)) if not rows[k][col].is_zero()), None)
+        r = len(pivots)
+        piv = next((k for k in range(r, len(rows)) if col in rows[k]), None)
         if piv is None:
             continue
         if piv != r:
@@ -50,50 +39,57 @@ def _gauss_jordan(rows, ncols: int):
             swaps += 1
         value = rows[r][col]
         inv = 1 / value
-        rows[r] = [x * inv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and not rows[k][col].is_zero():
-                factor = rows[k][col]
-                rows[k] = [x - factor * y for x, y in zip(rows[k], rows[r])]
+        pivot_row = rows[r] = {j: x * inv for j, x in rows[r].items()}
+        for k, row in enumerate(rows):
+            if k != r and col in row:
+                factor = row[col]
+                for j, y in pivot_row.items():
+                    x = row[j] - factor * y if j in row else -(factor * y)
+                    if x.is_zero():
+                        del row[j]
+                    else:
+                        row[j] = x
         pivots.append((col, value))
-        r += 1
     return pivots, swaps
 
 
-def det_matrix(M):
-    """Determinant of a square matrix: the signed product of its pivots."""
-    n = len(M)
-    pivots, swaps = _gauss_jordan([row[:] for row in M], n)
+def det_matrix(M: dict, n: int):
+    """Determinant of the n x n matrix M: the signed product of its
+    pivots, or the int 0 when M is singular (both entry types compare
+    equal to it)."""
+    rows = _rows(M)
+    pivots, swaps = _gauss_jordan([rows.get(i, {}) for i in range(n)], n)
     if len(pivots) < n:
-        return M[0][0] * 0
-    det = pivots[0][1]
-    for _, value in pivots[1:]:
+        return 0
+    det = -1 if swaps % 2 else 1
+    for _, value in pivots:
         det = det * value
-    return -det if swaps % 2 else det
+    return det
 
 
-def invert_matrix(M):
-    """Inverse of a square matrix; None when it is singular."""
-    n = len(M)
-    zero = M[0][0] * 0
-    one = zero + 1
-    rows = [row[:] + [one if i == j else zero for j in range(n)]
-            for i, row in enumerate(M)]
+def invert_matrix(M: dict, n: int):
+    """Inverse of the n x n matrix M; None when it is singular."""
+    rows = _rows(M)
+    one = next(iter(M.values()), 1) * 0 + 1
+    rows = [rows.get(i, {}) | {n + i: one} for i in range(n)]
     pivots, _ = _gauss_jordan(rows, n)
     if len(pivots) < n:
         return None
-    return [row[n:] for row in rows]
+    return {(i, j - n): v for i, row in enumerate(rows)
+            for j, v in row.items() if j >= n}
 
 
-def solve(A, b):
-    """A particular solution W of A W = b, free variables set to zero;
-    None when the system is inconsistent.  A needs at least one row."""
-    n = len(A[0])
-    rows = [row[:] + [v] for row, v in zip(A, b)]
-    pivots, _ = _gauss_jordan(rows, n)
-    if any(not row[n].is_zero() for row in rows[len(pivots):]):
+def solve(A: dict, b: dict, ncols: int):
+    """A particular solution W of A W = b for A with `ncols` columns, free
+    variables set to zero; None when the system is inconsistent.  A is
+    keyed (row, column) and b (row,), where a row is any hashable label;
+    a row with no entry in A or b reads 0 = 0."""
+    rows = _rows(A)
+    for (i,), v in b.items():
+        rows.setdefault(i, {})[ncols] = v
+    rows = list(rows.values())
+    pivots, _ = _gauss_jordan(rows, ncols)
+    if any(rows[len(pivots):]):
         return None
-    W = [A[0][0] * 0] * n
-    for row, (col, _) in zip(rows, pivots):
-        W[col] = row[n]
-    return W
+    return {(col,): row[ncols] for row, (col, _) in zip(rows, pivots)
+            if ncols in row}

@@ -23,7 +23,7 @@ from .canonical import CanonicalConstants, build_canonical, poisson_matrix
 from .complexforms import (_check_central_on_differentials, eta_forms,
                            kahler_form)
 from .forms import DiffForm
-from .linalg import mat_mul
+from .geometry import _contract, _read_array
 from .ratexpr import Chart, RatExpr
 from .scalars import GaussianRational
 
@@ -158,19 +158,21 @@ def p_scalar(t: HermitianTriple, chart: Chart | None = None) -> RatExpr:
     """P = a z zb + b z + conj(b) zb + c as a rational expression."""
     if chart is None:
         chart = one_dim_chart()
-    return poisson_matrix(triple_constants(t), chart)[0][1]
+    return poisson_matrix(triple_constants(t), chart)[0, 1]
 
 
 def moebius(t: HermitianTriple, m: MoebiusMap) -> HermitianTriple:
     """Congruence action on the hermitian coefficient matrix: the matrix
     (a b; conj(b) c) maps to L (a b; conj(b) c) L* with
     L = (alpha gamma; beta delta)."""
-    L = [[m.alpha, m.gamma], [m.beta, m.delta]]
-    T = [[t.a, t.b], [t.b.conjugate(), t.c]]
-    R = [[m.alpha.conjugate(), m.beta.conjugate()],
-         [m.gamma.conjugate(), m.delta.conjugate()]]
-    out = mat_mul(mat_mul(L, T), R)
-    return HermitianTriple(out[0][0], out[0][1], out[1][1])
+    L, T = (_read_array(M, 2, 2, GaussianRational.coerce, "matrix") for M in
+            ([[m.alpha, m.gamma], [m.beta, m.delta]],
+             [[t.a, t.b], [t.b.conjugate(), t.c]]))
+    Lstar = {(j, i): v.conjugate() for (i, j), v in L.items()}
+    out = _contract("ab,bc,cd->ad", L, T, Lstar)
+    zero = GaussianRational(0)
+    return HermitianTriple(*(out.get(idx, zero)
+                             for idx in ((0, 0), (0, 1), (1, 1))))
 
 
 def centering_translation(t: HermitianTriple) -> MoebiusMap:

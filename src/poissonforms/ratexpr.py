@@ -199,6 +199,10 @@ class RatExpr:
             return NotImplemented
         if self.den == o.den:
             return RatExpr(self.chart, self.num + o.num, self.den)
+        if self.is_poly() or o.is_poly():
+            # (n + p d)/d is reduced whenever n/d is, and d is monic.
+            f, p = (o, self) if self.is_poly() else (self, o)
+            return RatExpr._of(self.chart, f.num + p.num * f.den, f.den)
         return RatExpr(self.chart, self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__

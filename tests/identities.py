@@ -1,6 +1,8 @@
 """Shared oracles for the geometry tests: connection identities computed
-from their definitions, random polynomial connections, and polynomial
-coordinate changes with exact inverses."""
+from their definitions, random polynomial connections, polynomial
+coordinate changes with exact inverses, and the dense nested-list linear
+algebra the package used before its matrices became dicts of nonzero
+entries."""
 
 import random
 
@@ -247,3 +249,90 @@ def transform_tensor(t, change):
         return acc
 
     return Tensor.from_fn(new, t.signature, comp)
+
+
+def sparse_matrix(rows):
+    """The nonzero entries of a nested-list matrix, keyed (row, column)."""
+    return {(i, j): v for i, row in enumerate(rows)
+            for j, v in enumerate(row) if not v.is_zero()}
+
+
+def sparse_vector(values):
+    """The nonzero entries of a list, keyed (index,)."""
+    return {(i,): v for i, v in enumerate(values) if not v.is_zero()}
+
+
+# -- dense linear algebra over nested lists ---------------------------------
+#
+# The elimination the package ran before `linalg` moved to dicts of
+# nonzero entries, kept verbatim as the reference for the sparse solver
+# and for the dense oracles, so that those do not share the code they
+# check.
+
+
+def _dense_gauss_jordan(rows, ncols: int):
+    """Reduce `rows` in place to reduced row echelon form in their first
+    `ncols` columns; the pivot for each column is the first nonzero row at
+    or below the current one.  Returns the pivots as (column, value before
+    scaling) pairs and the number of row swaps."""
+    pivots = []
+    swaps = 0
+    r = 0
+    for col in range(ncols):
+        if r == len(rows):
+            break
+        piv = next((k for k in range(r, len(rows)) if not rows[k][col].is_zero()), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            swaps += 1
+        value = rows[r][col]
+        inv = 1 / value
+        rows[r] = [x * inv for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and not rows[k][col].is_zero():
+                factor = rows[k][col]
+                rows[k] = [x - factor * y for x, y in zip(rows[k], rows[r])]
+        pivots.append((col, value))
+        r += 1
+    return pivots, swaps
+
+
+def dense_det(M):
+    """Determinant of a square matrix: the signed product of its pivots."""
+    n = len(M)
+    pivots, swaps = _dense_gauss_jordan([row[:] for row in M], n)
+    if len(pivots) < n:
+        return M[0][0] * 0
+    det = pivots[0][1]
+    for _, value in pivots[1:]:
+        det = det * value
+    return -det if swaps % 2 else det
+
+
+def dense_invert(M):
+    """Inverse of a square matrix; None when it is singular."""
+    n = len(M)
+    zero = M[0][0] * 0
+    one = zero + 1
+    rows = [row[:] + [one if i == j else zero for j in range(n)]
+            for i, row in enumerate(M)]
+    pivots, _ = _dense_gauss_jordan(rows, n)
+    if len(pivots) < n:
+        return None
+    return [row[n:] for row in rows]
+
+
+def dense_solve(A, b):
+    """A particular solution W of A W = b, free variables set to zero;
+    None when the system is inconsistent.  A needs at least one row."""
+    n = len(A[0])
+    rows = [row[:] + [v] for row, v in zip(A, b)]
+    pivots, _ = _dense_gauss_jordan(rows, n)
+    if any(not row[n].is_zero() for row in rows[len(pivots):]):
+        return None
+    W = [A[0][0] * 0] * n
+    for row, (col, _) in zip(rows, pivots):
+        W[col] = row[n]
+    return W

@@ -17,18 +17,17 @@ from poissonforms.canonical import (
     poisson_matrix,
     transform_constants,
     xi_realization,
-    yang_baxter_defect,
-    yang_baxter_symmetrized,
 )
 from poissonforms.forms import DiffForm
 from poissonforms.geometry import check_integrability, cyclic_jacobi, torsion
-from poissonforms.linalg import invert_matrix
 from poissonforms.parsing import parse_scalar
 from poissonforms.ratexpr import Chart, RatExpr
 from poissonforms.scalars import GaussianRational
 
-from identities import flat_twist_residual
+from identities import dense_invert, flat_twist_residual
 from test_bracket import sphere_structure
+from test_constants_oracle import (dense, dense_yang_baxter_defect,
+                                   dense_yang_baxter_symmetrized)
 
 QUICK = SamplePlan(count=4)
 
@@ -84,6 +83,17 @@ def cybe_violating_constants():
 def entry(T, *idx):
     """A component of sparse constants; absent entries are zero."""
     return T.get(idx, GaussianRational(0))
+
+
+def yang_baxter_defect(c, *idx):
+    """One component of the Yang-Baxter defect of c's Rt, with (A,B,C) the
+    output and (D,E,F) the input indices, from the dense reference loops."""
+    return dense_yang_baxter_defect(dense(c.Rt, c.dim, 4), c.dim, *idx)
+
+
+def yang_baxter_symmetrized(c, *idx):
+    """The defect summed over the distinct permutations of (D,E,F)."""
+    return dense_yang_baxter_symmetrized(dense(c.Rt, c.dim, 4), c.dim, *idx)
 
 
 def failure_names(rep):
@@ -202,7 +212,7 @@ def test_build_darboux(dim):
                 assert s.Gamma[A, B, C].is_zero()
     assert check_integrability(s).passed
     assert verify_axioms(s, QUICK).passed
-    assert fr.M == s.P.to_lists()
+    assert fr.M.components == s.P.components
     assert fr.Phi == [RatExpr.variable(s.chart, k) for k in range(dim)]
 
 
@@ -232,7 +242,7 @@ def test_build_fixture_battery(make):
                 - RatExpr.const(s.chart, entry(c.Rt, C, D, A, B))).is_zero()
     # torsion contracted into the frame equals the derivative of P
     T = torsion(s)
-    Pinv = invert_matrix(s.P.to_lists())
+    Pinv = dense_invert(s.P.to_lists())
     origin = [GaussianRational(0)] * n
     for A, B, C in itertools.product(range(n), repeat=3):
         acc = RatExpr.zero(s.chart)
@@ -335,7 +345,7 @@ def test_find_torsion_zero_unique():
         f=[(0, 1, 0, -1), (0, 1, 1, -2), (1, 0, 0, 1), (1, 0, 1, 2)],
         g=[(0, 1, 1), (1, 0, -1)])
     t = find_torsion_zero(c)
-    assert t.V == [GaussianRational(-1), GaussianRational(-2)]
+    assert t.V == {(0,): GaussianRational(-1), (1,): GaussianRational(-2)}
     assert t.N == CanonicalTransform.identity(2).N
     c2 = transform_constants(c, t)
     assert all(entry(c2.f, A, B, C).is_zero()
@@ -347,7 +357,7 @@ def test_find_torsion_zero_unique():
 def test_find_torsion_zero_edges():
     for c in (sphere_real_constants(), darboux_constants(2)):
         t = find_torsion_zero(c)
-        assert t.V == [GaussianRational(0), GaussianRational(0)]
+        assert t.V == {}
         assert t.N == CanonicalTransform.identity(2).N
     assert find_torsion_zero(affine_constants()) is None
 
@@ -371,14 +381,17 @@ def test_transform_translation_oracle():
         for B in range(2):
             for C in range(2):
                 want = entry(c.f, A, B, C) - sum(
-                    (entry(c.Rt, A, B, C, D) * t.V[D] for D in range(2)),
+                    (entry(c.Rt, A, B, C, D) * entry(t.V, D)
+                     for D in range(2)),
                     GaussianRational(0))
                 assert entry(ct.f, A, B, C) == want
             want = entry(c.g, A, B) - sum(
-                (entry(c.f, A, B, C) * t.V[C] for C in range(2)), GaussianRational(0))
+                (entry(c.f, A, B, C) * entry(t.V, C) for C in range(2)),
+                GaussianRational(0))
             for C in range(2):
                 for D in range(2):
-                    want = want + half * entry(c.Rt, A, B, C, D) * t.V[C] * t.V[D]
+                    want = want + (half * entry(c.Rt, A, B, C, D)
+                                   * entry(t.V, C) * entry(t.V, D))
             assert entry(ct.g, A, B) == want
 
 
@@ -388,7 +401,8 @@ def test_transform_rotation_oracle():
     ct = transform_constants(c, t)
     for A in range(2):
         for B in range(2):
-            want = sum((t.N[A][E] * entry(c.g, E, F) * t.N[B][F]
+            want = sum((entry(t.N, A, E) * entry(c.g, E, F)
+                        * entry(t.N, B, F)
                         for E in range(2) for F in range(2)),
                        GaussianRational(0))
             assert entry(ct.g, A, B) == want

@@ -6,8 +6,7 @@ import time
 import pytest
 
 from poissonforms.canonical import (CanonicalConstants, CanonicalTransform,
-                                    build_canonical, transform_constants,
-                                    yang_baxter_symmetrized)
+                                    build_canonical, transform_constants)
 from poissonforms.cli import main
 from poissonforms.files import (chart_from_dict, chart_to_dict,
                                 constants_from_dict, constants_to_dict,
@@ -21,7 +20,7 @@ from poissonforms.scalars import GaussianRational
 from fractions import Fraction
 
 from test_canonical import (affine_constants, cybe_violating_constants,
-                            mixed_constants)
+                            mixed_constants, yang_baxter_symmetrized)
 
 
 def run_cli(capsys, *argv):

@@ -7,8 +7,9 @@ in `itertools.product` order.  On random dim-2 and dim-3 constants,
 failing ones included, both must give the same report.
 
 `transform_constants` applies the tensor law for F -> N F + V; the
-reference substitutes F = N^{-1}(F' - V) into N P Nᵀ and reads the
-constants back off the derivatives of the result at the origin.
+reference substitutes F = N^{-1}(F' - V) into N P Nᵀ, with N^{-1} from
+the dense solver in `identities`, and reads the constants back off the
+derivatives of the result at the origin.
 """
 
 import itertools
@@ -23,6 +24,8 @@ from poissonforms.geometry import _add_first_nonzero, _component
 from poissonforms.ratexpr import RatExpr
 from poissonforms.report import VerificationReport
 from poissonforms.scalars import GaussianRational
+
+from identities import dense_invert
 
 ZERO = GaussianRational(0)
 
@@ -42,6 +45,15 @@ def dense_yang_baxter_defect(Rt, n, A, B, C, D, E, F):
                + Rt[A][B][K][E] * Rt[K][C][D][F] - Rt[A][C][K][F] * Rt[K][B][D][E]
                + Rt[A][B][D][K] * Rt[K][C][E][F] - Rt[A][K][D][E] * Rt[B][C][K][F]
                + Rt[A][C][D][K] * Rt[B][K][E][F] - Rt[A][K][D][F] * Rt[B][C][E][K])
+    return acc
+
+
+def dense_yang_baxter_symmetrized(Rt, n, A, B, C, D, E, F):
+    """The defect summed over the distinct permutations of (D,E,F): the
+    coefficient of the cubic monomial F^D F^E F^F."""
+    acc = ZERO
+    for p in set(itertools.permutations((D, E, F))):
+        acc = acc + dense_yang_baxter_defect(Rt, n, A, B, C, *p)
     return acc
 
 
@@ -74,14 +86,8 @@ def dense_check_constants(c: CanonicalConstants) -> VerificationReport:
             "" if bad is None else str(g[bad[0]][bad[1]] + g[bad[1]][bad[0]]),
             "" if bad is None else _component(bad))
 
-    def yang_baxter(ABC, DEF):
-        acc = ZERO
-        for p in set(itertools.permutations(DEF)):
-            acc = acc + dense_yang_baxter_defect(Rt, n, *ABC, *p)
-        return acc
-
     _add_first_nonzero(rep, "yang-baxter", (
-        (ABC + DEF, yang_baxter(ABC, DEF))
+        (ABC + DEF, dense_yang_baxter_symmetrized(Rt, n, *ABC, *DEF))
         for ABC in itertools.product(range(n), repeat=3)
         for DEF in itertools.combinations_with_replacement(range(n), 3)))
 
@@ -127,15 +133,17 @@ def substituted_constants(c: CanonicalConstants,
     n = c.dim
     chart = canonical_chart(n)
     P = poisson_matrix(c, chart)
+    N, V = dense(t.N, n, 2), dense(t.V, n, 1)
+    Ninv = dense_invert(N)
     phi = [RatExpr.variable(chart, k) for k in range(n)]
-    back = [sum((RatExpr.const(chart, t.Ninv[A][B])
-                 * (phi[B] - RatExpr.const(chart, t.V[B])) for B in range(n)),
+    back = [sum((RatExpr.const(chart, Ninv[A][B])
+                 * (phi[B] - RatExpr.const(chart, V[B])) for B in range(n)),
                 RatExpr.zero(chart))
             for A in range(n)]
     origin = [ZERO] * n
     rt, f, g = [], [], []
     for A, B in itertools.product(range(n), repeat=2):
-        P2 = sum((RatExpr.const(chart, t.N[A][E] * t.N[B][F]) * P[E][F]
+        P2 = sum((RatExpr.const(chart, N[A][E] * N[B][F]) * P[E, F]
                   for E in range(n) for F in range(n)),
                  RatExpr.zero(chart)).subst(back)
         g.append((A, B, P2.eval_at(origin)))

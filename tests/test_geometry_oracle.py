@@ -5,7 +5,8 @@ The laws in `geometry`, and the bracket's generator table, contract
 dicts of nonzero components.  The references below are the same laws
 written as loops over every index of the nested arrays
 `s.P.to_lists()` and `s.Gamma.to_lists()`, each law reporting its first
-nonzero component in `itertools.product` order.  On random connections,
+nonzero component in `itertools.product` order, with inverses from the
+dense solver in `identities`.  On random connections,
 flat ones, polynomial coefficient matrices and matrices that are not
 Poisson, every tensor must equal its reference and `check_integrability`
 must give the same report; on random real and complex structures,
@@ -25,11 +26,10 @@ from poissonforms.geometry import (Metric, Tensor, _add_first_nonzero,
                                    covariant_derivative, curvature,
                                    cyclic_jacobi, torsion)
 from poissonforms.forms import DiffForm
-from poissonforms.linalg import invert_matrix
 from poissonforms.ratexpr import Chart, RatExpr
 from poissonforms.report import VerificationReport
 
-from identities import pure_gauge_connection, random_connection
+from identities import dense_invert, pure_gauge_connection, random_connection
 from test_bracket import sphere_structure
 from test_complex import product_chart, product_constants
 
@@ -124,7 +124,7 @@ def dense_check_integrability(s):
     names = ["flatness", "poisson-parallel", "curvature-transport"]
     if chart.is_complex():
         names.append("block-diagonal")
-    if invert_matrix(s.P.to_lists()) is None:
+    if dense_invert(s.P.to_lists()) is None:
         for name in names:
             rep.add_not_applicable(name)
         return rep
@@ -148,9 +148,9 @@ def dense_check_integrability(s):
 def dense_connection_from_metric(metric, s):
     chart = s.chart
     P = s.P.to_lists()
-    Pinv = invert_matrix(P)
-    h = metric.h
-    hi = metric.hinv
+    Pinv = dense_invert(P)
+    h = metric.h.to_lists()
+    hi = dense_invert(h)
     n = chart.n
     half = RatExpr.const(chart, 1) / RatExpr.const(chart, 2)
 
@@ -272,7 +272,7 @@ def test_connection_from_metric_matches_dense_loop(seed, constant_p):
     rng = random.Random(seed)
     ch = Chart(("q", "p"))
     P = antisymmetric(ch, rng, 0 if constant_p else 1)
-    assume(invert_matrix(P) is not None)
+    assume(dense_invert(P) is not None)
     m = random_scalar(ch, rng, 1)
     d0, d1 = rng.choice([1, 2, -1]), rng.choice([1, -3])
     metric = Metric(ch, [[d0, d0 * m], [d0 * m, d0 * m * m + d1]])

@@ -125,6 +125,27 @@ def test_constant_factor_takes_no_gcd(monkeypatch, czx):
     assert calls
 
 
+def test_polynomial_plus_fraction_takes_no_gcd(monkeypatch, czx):
+    """(n + p d)/d is reduced whenever n/d is: adding a polynomial to a
+    reduced fraction gives the value a reduction would, without a gcd."""
+    v = parse_scalar("(z + 2*i*zb)/(3*z*zb - 1)", czx)
+    ps = [parse_scalar(t, czx) for t in ("z^2 - i*zb", "1/2", "-z*zb")]
+    want = [RatExpr(czx, v.num + p.num * v.den, v.den) for p in ps]
+    calls = []
+    gcd = ratexpr.poly_gcd
+
+    def counting(p, q):
+        calls.append((p, q))
+        return gcd(p, q)
+
+    monkeypatch.setattr(ratexpr, "poly_gcd", counting)
+    for p, w in zip(ps, want):
+        assert v + p == w and p + v == w
+        assert v - p == v + (-p) and p - v == -(v - p)
+    assert (v + 2) - 2 == v
+    assert calls == []
+
+
 def test_integer_arithmetic_builds_no_scalars(monkeypatch, czx):
     """+, *, diff and conj on denominator-1 expressions with Gaussian-
     integer coefficients run on ints: no GaussianRational is built."""
