@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
-from .forms import DiffForm, sort_indices
-from .geometry import Tensor, _as_tensor, _contract, coord_signature
+from .forms import DiffForm, _signed_sum
+from .geometry import Tensor, _as_tensor, coord_signature
+from .linalg import _contract
 from .polynomials import Poly
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
@@ -131,11 +133,7 @@ class PoissonStructure:
         key = (f, g)
         out = self._brackets.get(key)
         if out is None:
-            acc = {}
-            for idxf, a in f.parts.items():
-                for idxg, b in g.parts.items():
-                    self._expand(acc, a, idxf, b, idxg)
-            out = DiffForm(self.chart, acc)
+            out = _signed_sum(self.chart, self._expand(f, g))
             self._brackets[key] = out
         return out
 
@@ -150,35 +148,28 @@ class PoissonStructure:
             return DiffForm.const(self.chart, f)
         raise TypeError(f"cannot bracket {type(f).__name__}")
 
-    def _expand(self, acc: dict, a: RatExpr, I: tuple, b: RatExpr, J: tuple):
-        """Add the terms of (a dxI, b dxJ) in the module docstring to acc;
-        add puts s * c * factors on dx^idxs[0] ^ dx^idxs[1] ^ ...."""
-        def add(idxs, s, c, *factors):
-            sign, key = sort_indices(idxs)
-            if sign:
-                for m in factors:
-                    c = c * m
-                if sign * s < 0:
-                    c = -c
-                acc[key] = acc[key] + c if key in acc else c
-
-        if not set(I).intersection(J):  # else dx^I dx^J = 0: skip {b, a}
-            add(I + J, -1, self.bracket_scalars(b, a))
-        db = {}
-        for k, i in enumerate(I):
-            for d, v in self._with_dx(b, i, db).items():
-                add(I[:k] + d + I[k + 1:] + J, -1, a, v)
-        da = {}
-        s = 1 if len(I) % 2 else -1
-        for l, j in enumerate(J):
-            lo, hi = J[:l], J[l + 1:]
-            sl = -s if len(I) * l % 2 else s
-            for d, v in self._with_dx(a, j, da).items():
-                add(lo + d + I + hi, -sl, b, v)
+    def _expand(self, f: DiffForm, g: DiffForm):
+        """The terms of (a dxI, b dxJ) in the module docstring over the
+        monomials of f and g, as (indices, sign, factors) for
+        forms._signed_sum."""
+        for (I, a), (J, b) in product(f.parts.items(), g.parts.items()):
+            if not set(I).intersection(J):  # else dx^I dx^J = 0: no {b, a}
+                yield I + J, -1, (self.bracket_scalars(b, a),)
+            db = {}
             for k, i in enumerate(I):
-                for pq, w in self.dx_dx(j, i).parts.items():
-                    add(lo + I[:k] + pq + I[k + 1:] + hi,
-                        -sl if k % 2 else sl, b, a, w)
+                for d, v in self._with_dx(b, i, db).items():
+                    yield I[:k] + d + I[k + 1:] + J, -1, (a, v)
+            da = {}
+            s = 1 if len(I) % 2 else -1
+            for l, j in enumerate(J):
+                lo, hi = J[:l], J[l + 1:]
+                sl = -s if len(I) * l % 2 else s
+                for d, v in self._with_dx(a, j, da).items():
+                    yield lo + d + I + hi, -sl, (b, v)
+                for k, i in enumerate(I):
+                    for pq, w in self.dx_dx(j, i).parts.items():
+                        yield (lo + I[:k] + pq + I[k + 1:] + hi,
+                               -sl if k % 2 else sl, (b, a, w))
 
 
 # -- sampled axiom checks ------------------------------------------------

@@ -8,16 +8,17 @@ validates the constants, builds the structure and its frame, transforms
 constants under affine changes of the coordinates, and finds torsion
 zeros.
 
-Storage: everything here uses the tensor storage of the geometry
-module, dicts {index tuple: value} holding only the nonzero entries.
+Storage: everything here uses the index storage of the linalg module,
+dicts {index tuple: value} holding only the nonzero entries.
 Rt is keyed (A,B,C,D), f (A,B,C) and g (A,B); Rt is antisymmetric in
 (A,B) and symmetric in (C,D), f is antisymmetric in (A,B) and g is
 antisymmetric.  A transform's N, Ninv and V are such dicts too, and the
 built P and the frame matrices are Tensors holding them.  Every law over
 them, the inverse of P, and the connection and frame curvature of the
-built structure are sparse contractions with the geometry helpers
-(`_contract`, `_sum`) or sparse eliminations with `linalg`, so their
-cost follows the number of nonzero entries, not the dimension.
+built structure are sparse contractions (`linalg._contract`, `_sum`) or
+sparse eliminations, so their cost follows the number of nonzero
+entries, not the dimension.  The frame's potential and two-forms are
+signed sums of `forms`.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ import random
 from fractions import Fraction
 
 from .bracket import PoissonStructure, SamplePlan, random_scalar, random_form
-from .forms import DiffForm
-from .geometry import (COORD, FRAME, Tensor, _accumulate, _add_first_nonzero,
-                       _as_tensor, _component, _contract, _gradient,
-                       _read_array, _sum, coord_signature, curvature)
-from .linalg import invert_matrix, solve
+from .forms import DiffForm, _signed_sum
+from .geometry import (COORD, FRAME, Tensor, _add_first_nonzero, _as_tensor,
+                       _component, _gradient, _read_array, coord_signature,
+                       curvature)
+from .linalg import _accumulate, _contract, _sum, invert_matrix, solve
 from .polynomials import Poly
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
@@ -177,14 +178,8 @@ def check_constants(c: CanonicalConstants) -> VerificationReport:
     return rep
 
 
-DEFAULT_COORD_PREFIX = "u"
-
-
-def canonical_chart(dim: int, kind: str = "real", pairs=None) -> Chart:
-    names = tuple(f"{DEFAULT_COORD_PREFIX}{k + 1}" for k in range(dim))
-    if kind == "real":
-        return Chart(names)
-    return Chart(names, kind=kind, pairs=pairs)
+def canonical_chart(dim: int) -> Chart:
+    return Chart(f"u{k + 1}" for k in range(dim))
 
 
 # M^{aA} has a coordinate and a frame index, its inverse Minv_{Ab} a
@@ -225,19 +220,17 @@ class Frame:
     def potential_form(self, rows) -> DiffForm:
         """-e_A F^A summed over the frame rows A in `rows`."""
         es = self.one_forms()
-        out = DiffForm.zero(self.chart)
-        for A in rows:
-            out = out - es[A] * DiffForm.from_scalar(self.Phi[A])
-        return out
+        return _signed_sum(self.chart, (
+            (b, -1, (v, self.Phi[A])) for A in rows
+            for b, v in es[A].parts.items()))
 
     def two_form(self, coeffs: dict) -> DiffForm:
         """c e_A^e_B summed over the items (A, B): c of `coeffs`, a dict of
         nonzero scalars or rational expressions."""
         es = self.one_forms()
-        out = DiffForm.zero(self.chart)
-        for (A, B), c in coeffs.items():
-            out = out + (es[A] * es[B]).scale(c)
-        return out
+        return _signed_sum(self.chart, (
+            (a + b, 1, (va, vb, c)) for (A, B), c in coeffs.items()
+            for a, va in es[A].parts.items() for b, vb in es[B].parts.items()))
 
 
 def poisson_matrix(c: CanonicalConstants, chart: Chart) -> Tensor:
@@ -264,6 +257,11 @@ def build_canonical(c: CanonicalConstants, chart: Chart | None = None):
     if not rep.passed:
         raise ValueError("constants fail validation: "
                          + ", ".join(ch.name for ch in rep.failures))
+    return _build_checked(c, chart)
+
+
+def _build_checked(c: CanonicalConstants, chart: Chart | None = None):
+    """build_canonical for constants that already passed check_constants."""
     if chart is None:
         chart = canonical_chart(c.dim)
     if chart.n != c.dim:

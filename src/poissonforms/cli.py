@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .bracket import SamplePlan, verify_axioms
-from .canonical import (CanonicalTransform, build_canonical, check_constants,
+from .canonical import (CanonicalTransform, _build_checked, check_constants,
                         find_torsion_zero, transform_constants)
 from .complexforms import verify_complex_axioms
 from .files import (_load_json, constants_to_dict, dumps, load_constants,
@@ -97,7 +97,7 @@ def _cmd_canonical_build(args) -> int:
     rep = check_constants(c)
     if not rep.passed:
         return _finish(rep, args)
-    s, _ = build_canonical(c)
+    s, _ = _build_checked(c)
     _emit(args, dumps(structure_to_dict(s)))
     return 0
 

@@ -18,10 +18,10 @@ from .bracket import (PoissonStructure, SamplePlan, _generators,
                       _split_pair_checks, random_form)
 from .canonical import Frame, _check_realizations, _quadratic_constants
 from .forms import DiffForm
-from .geometry import (Tensor, _accumulate, _add_first_nonzero, _component,
-                       _read_array, _sum, coord_signature,
-                       covariant_derivative, off_block_components)
-from .linalg import det_matrix
+from .geometry import (Tensor, _add_first_nonzero, _component, _read_array,
+                       coord_signature, covariant_derivative,
+                       off_block_components)
+from .linalg import _accumulate, _sum, det_matrix
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
 from .scalars import GaussianRational

@@ -49,7 +49,10 @@ def rational_from_str(text, what: str = "value") -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     try:
-        return Fraction(_expect_str(text, what))
+        text = _expect_str(text, what)
+        if "e" in text.lower():  # Fraction expands 1e999999999 to every digit
+            raise ValueError(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{what} is not an exact rational: {text!r}") from None
 

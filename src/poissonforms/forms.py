@@ -2,56 +2,51 @@
 
 A form is a map from strictly increasing index tuples to coefficients;
 the empty tuple holds the function part.  Mixed-degree sums are allowed,
-graded operations split them into homogeneous parts.
+graded operations split them into homogeneous parts.  A sum of terms
+c dx^i ^ dx^j ^ ... with indices in any order is one `_signed_sum`: each
+index tuple is sorted by `sort_indices`, whose permutation sign is the
+wedge sign, and the terms are summed by `linalg._accumulate`.
 """
 
 from __future__ import annotations
 
+from .linalg import _accumulate
 from .ratexpr import Chart, RatExpr
 from .scalars import GaussianRational
-
-
-def merge_indices(a: tuple, b: tuple):
-    """Concatenate two strictly increasing tuples; returns (sign, merged)
-    where sign counts the transpositions, or (0, None) on a repeat."""
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    out = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return 0, None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
 
 
 def sort_indices(idxs: tuple):
     """Sort a tuple of distinct indices; returns (sign, sorted) with the
     permutation sign, or (0, None) on a repeat."""
+    if len(idxs) < 2:
+        return 1, idxs
     sign = 1
     lst = list(idxs)
     for i in range(1, len(lst)):
         j = i
-        while j > 0 and lst[j - 1] > lst[j]:
+        # lst[:i] is strictly increasing, so a repeat of lst[i] is met here
+        while j and lst[j - 1] >= lst[j]:
+            if lst[j - 1] == lst[j]:
+                return 0, None
             lst[j - 1], lst[j] = lst[j], lst[j - 1]
             sign = -sign
             j -= 1
-    for i in range(1, len(lst)):
-        if lst[i - 1] == lst[i]:
-            return 0, None
     return sign, tuple(lst)
+
+
+def _signed_sum(chart: Chart, terms) -> "DiffForm":
+    """The form summing s * f1 * f2 * ... dx^idxs[0] ^ dx^idxs[1] ^ ...
+    over the terms (idxs, s, (f1, f2, ...)) with s = 1 or -1; a term with
+    a repeated index is zero, and its factors are not multiplied."""
+    def signed():
+        for idxs, s, factors in terms:
+            sign, key = sort_indices(idxs)
+            if sign:
+                c = factors[0]
+                for m in factors[1:]:
+                    c = c * m
+                yield key, (-c if sign * s < 0 else c)
+    return DiffForm._of(chart, _accumulate(signed()))
 
 
 class DiffForm:
@@ -190,7 +185,7 @@ class DiffForm:
         parts: dict = {}
         for ia, ca in self.parts.items():
             for ib, cb in o.parts.items():
-                sign, idxs = merge_indices(ia, ib)
+                sign, idxs = sort_indices(ia + ib)
                 if sign == 0:
                     continue
                 c = ca * cb
@@ -214,13 +209,9 @@ class DiffForm:
 
     def partial_d(self, indices) -> "DiffForm":
         indices = tuple(indices)
-        out = DiffForm.zero(self.chart)
-        for idxs, c in self.parts.items():
-            for g in indices:
-                dc = c.diff(g)
-                if dc:
-                    out = out + DiffForm.monomial(dc, (g,) + idxs)
-        return out
+        return _signed_sum(self.chart, (
+            ((g,) + idxs, 1, (dc,)) for idxs, c in self.parts.items()
+            for g in indices if g not in idxs and (dc := c.diff(g))))
 
     def ext_d(self) -> "DiffForm":
         return self.partial_d(range(self.chart.n))
@@ -242,18 +233,10 @@ class DiffForm:
         if not self.chart.is_complex():
             raise ValueError("star needs a complex chart")
         perm = self.chart.conj_perm()
-        out: dict = {}
-        for idxs, c in self.parts.items():
-            k = len(idxs)
-            sign, mapped = sort_indices(tuple(perm[j] for j in idxs))
-            if (k * (k - 1) // 2) % 2:
-                sign = -sign
-            cc = c.conj()
-            if sign < 0:
-                cc = -cc
-            s = out.get(mapped)
-            out[mapped] = cc if s is None else s + cc
-        return DiffForm(self.chart, out)
+        return _signed_sum(self.chart, (
+            (tuple(perm[j] for j in idxs),
+             -1 if len(idxs) * (len(idxs) - 1) // 2 % 2 else 1, (c.conj(),))
+            for idxs, c in self.parts.items()))
 
     # -- bidegree (complex charts) -------------------------------------
 

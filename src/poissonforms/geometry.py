@@ -5,25 +5,21 @@ its twist (lower indices swapped), the integrability report, and the
 connection determined by a covariantly constant metric.  The laws read a
 `bracket.PoissonStructure` s only through s.chart, s.P and s.Gamma.
 
-Index storage: every tensor, matrix and vector of the package is a dict
-{index tuple: value} holding only its nonzero components.  A structure's
-P and Gamma, a frame's matrices and a metric are Tensors holding such
-dicts; Gamma^a_{bc} is keyed (a, b, c) with up index a, direction b and
-form index c, as in the bracket module, and a gradient appends the
-direction of the derivative as the last index.  Nested arrays are read
-only at the boundary, by `_read_array` (the `Tensor` constructor uses it),
-and written by `to_strings`.  Every law is a sparse contraction
-(`_contract`, an einsum that visits only nonzero entries) or a sum of a
-few, so its cost follows the number of nonzero components, not the
-dimension; the linear algebra of `linalg` works on the same dicts.  The
-package's other sparse laws use the same helpers.
+A structure's P and Gamma, a frame's matrices and a metric are Tensors
+holding the dicts of nonzero components described in `linalg`;
+Gamma^a_{bc} is keyed (a, b, c) with up index a, direction b and form
+index c, as in the bracket module, and a gradient appends the direction
+of the derivative as the last index.  Nested arrays are read only at the
+boundary, by `_read_array` (the `Tensor` constructor uses it), and
+written by `to_strings`.  Every law is a sparse contraction of `linalg`
+or a sum of a few.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .linalg import invert_matrix
+from .linalg import _accumulate, _contract, _sum, invert_matrix
 from .parsing import parse_scalar
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
@@ -43,54 +39,6 @@ def coord_signature(spec: str) -> tuple:
         else:
             raise ValueError(f"bad signature letter {ch!r}")
     return tuple(out)
-
-
-def _accumulate(pairs) -> dict:
-    """The nonzero sums of the values of the (index, value) pairs,
-    grouped by index."""
-    acc = {}
-    for idx, v in pairs:
-        acc[idx] = acc[idx] + v if idx in acc else v
-    return {idx: v for idx, v in acc.items() if not v.is_zero()}
-
-
-def _contract(spec: str, *tensors) -> dict:
-    """Sparse einsum over {index tuple: value} dicts of nonzero entries.
-
-    `spec` names the slots of each operand and of the result, as in
-    "abk,kc->abc"; a letter missing from the result is summed over, and a
-    letter may appear only once in each operand.  Only combinations of
-    nonzero entries that agree on their shared letters are visited.
-    Returns the nonzero entries of the result."""
-    ins, out = spec.split("->")
-    letters = ""
-    # (values of `letters`, product of the entries so far) per combination
-    partial = [((), None)]
-    for sub, T in zip(ins.split(","), tensors):
-        shared = [(k, letters.index(ch)) for k, ch in enumerate(sub)
-                  if ch in letters]
-        new = [k for k, ch in enumerate(sub) if ch not in letters]
-        matches = {}
-        for idx, v in T.items():
-            matches.setdefault(tuple(idx[k] for k, _ in shared),
-                               []).append((idx, v))
-        partial = [(vals + tuple(idx[k] for k in new),
-                    v if prod is None else prod * v)
-                   for vals, prod in partial
-                   for idx, v in matches.get(
-                       tuple(vals[j] for _, j in shared), ())]
-        letters += "".join(sub[k] for k in new)
-    place = [letters.index(ch) for ch in out]
-    return _accumulate((tuple(vals[j] for j in place), prod)
-                       for vals, prod in partial)
-
-
-def _sum(terms) -> dict:
-    """The nonzero entries of the sum of k * _contract(spec, *operands)
-    over the terms (k, spec, operands)."""
-    return _accumulate((idx, k * v)
-                       for k, spec, operands in terms
-                       for idx, v in _contract(spec, *operands).items())
 
 
 def _entry(chart: Chart, v) -> RatExpr:

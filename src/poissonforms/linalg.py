@@ -1,16 +1,69 @@
-"""Exact matrix arithmetic over a field.
+"""Sparse algebra over a field: sums, contractions and exact matrix
+arithmetic.
 
-A matrix is a dict {(row, column): value} and a vector a dict
-{(index,): value}, holding only the nonzero entries, as everywhere in
-the package.  Entries are exact scalars (GaussianRational) or rational
-expressions (RatExpr); both support is_zero, +, -, * and /, and both
-accept integer operands, so one Gauss-Jordan elimination serves
-determinants, inverses and linear solves over either field without
-rounding.  The elimination works on rows {column: value} and visits only
-their nonzero entries, as sympy's `sdm_irref` does.
+Index storage: every tensor, matrix and vector of the package is a dict
+{index tuple: value} holding only its nonzero components, a matrix keyed
+(row, column) and a vector (index,).  Entries are exact scalars
+(GaussianRational) or rational expressions (RatExpr); both support
+is_zero, +, -, * and /, and both accept integer operands.  `_accumulate`
+sums (index, value) pairs into such a dict, and `_contract`, an einsum
+that visits only nonzero entries, and `_sum` of a few of them express
+every sparse law of the package, so its cost follows the number of
+nonzero components, not the dimension.  One Gauss-Jordan elimination
+serves determinants, inverses and linear solves over either field
+without rounding; it works on rows {column: value} and visits only their
+nonzero entries, as sympy's `sdm_irref` does.
 """
 
 from __future__ import annotations
+
+
+def _accumulate(pairs) -> dict:
+    """The nonzero sums of the values of the (index, value) pairs,
+    grouped by index."""
+    acc = {}
+    for idx, v in pairs:
+        acc[idx] = acc[idx] + v if idx in acc else v
+    return {idx: v for idx, v in acc.items() if not v.is_zero()}
+
+
+def _contract(spec: str, *tensors) -> dict:
+    """Sparse einsum over {index tuple: value} dicts of nonzero entries.
+
+    `spec` names the slots of each operand and of the result, as in
+    "abk,kc->abc"; a letter missing from the result is summed over, and a
+    letter may appear only once in each operand.  Only combinations of
+    nonzero entries that agree on their shared letters are visited.
+    Returns the nonzero entries of the result."""
+    ins, out = spec.split("->")
+    letters = ""
+    # (values of `letters`, product of the entries so far) per combination
+    partial = [((), None)]
+    for sub, T in zip(ins.split(","), tensors):
+        shared = [(k, letters.index(ch)) for k, ch in enumerate(sub)
+                  if ch in letters]
+        new = [k for k, ch in enumerate(sub) if ch not in letters]
+        matches = {}
+        for idx, v in T.items():
+            matches.setdefault(tuple(idx[k] for k, _ in shared),
+                               []).append((idx, v))
+        partial = [(vals + tuple(idx[k] for k in new),
+                    v if prod is None else prod * v)
+                   for vals, prod in partial
+                   for idx, v in matches.get(
+                       tuple(vals[j] for _, j in shared), ())]
+        letters += "".join(sub[k] for k in new)
+    place = [letters.index(ch) for ch in out]
+    return _accumulate((tuple(vals[j] for j in place), prod)
+                       for vals, prod in partial)
+
+
+def _sum(terms) -> dict:
+    """The nonzero entries of the sum of k * _contract(spec, *operands)
+    over the terms (k, spec, operands)."""
+    return _accumulate((idx, k * v)
+                       for k, spec, operands in terms
+                       for idx, v in _contract(spec, *operands).items())
 
 
 def _rows(M: dict) -> dict:

@@ -23,7 +23,8 @@ from .canonical import CanonicalConstants, build_canonical, poisson_matrix
 from .complexforms import (_check_central_on_differentials, eta_forms,
                            kahler_form)
 from .forms import DiffForm
-from .geometry import _contract, _read_array
+from .geometry import _read_array
+from .linalg import _contract
 from .ratexpr import Chart, RatExpr
 from .scalars import GaussianRational
 
@@ -137,28 +138,21 @@ def triple_constants(t: HermitianTriple) -> CanonicalConstants:
         g=[(0, 1, t.c), (1, 0, -t.c)])
 
 
-def _build(t: HermitianTriple, chart: Chart | None):
+def _build(t: HermitianTriple):
     if t.is_zero():
         raise ValueError("triple is identically zero")
-    if chart is None:
-        chart = one_dim_chart()
-    if not chart.is_complex() or chart.n != 2:
-        raise ValueError("need a complex chart with one coordinate pair")
-    return build_canonical(triple_constants(t), chart)
+    return build_canonical(triple_constants(t), one_dim_chart())
 
 
-def build_one_dim(t: HermitianTriple,
-                  chart: Chart | None = None) -> PoissonStructure:
+def build_one_dim(t: HermitianTriple) -> PoissonStructure:
     """The structure with (z, zb) = P and (z, dz) = (dbar P) dz."""
-    s, _ = _build(t, chart)
+    s, _ = _build(t)
     return s
 
 
-def p_scalar(t: HermitianTriple, chart: Chart | None = None) -> RatExpr:
+def p_scalar(t: HermitianTriple) -> RatExpr:
     """P = a z zb + b z + conj(b) zb + c as a rational expression."""
-    if chart is None:
-        chart = one_dim_chart()
-    return poisson_matrix(triple_constants(t), chart)[0, 1]
+    return poisson_matrix(triple_constants(t), one_dim_chart())[0, 1]
 
 
 def moebius(t: HermitianTriple, m: MoebiusMap) -> HermitianTriple:
@@ -207,16 +201,13 @@ def classify(t: HermitianTriple) -> str:
     return "sphere" if d.re > 0 else "lobachevskian"
 
 
-def gaussian_curvature(t: HermitianTriple,
-                       chart: Chart | None = None) -> RatExpr:
+def gaussian_curvature(t: HermitianTriple) -> RatExpr:
     """-(1/h) d dbar log h for h = P^{-2}, evaluated as a rational
     expression; constant and equal to 2(ac - |b|^2)."""
     if t.is_zero():
         raise ValueError("degenerate metric")
-    if chart is None:
-        chart = one_dim_chart()
-    P = p_scalar(t, chart)
-    two = RatExpr.const(chart, 2)
+    P = p_scalar(t)
+    two = RatExpr.const(P.chart, 2)
     return two * (P.diff(0).diff(1) * P - P.diff(0) * P.diff(1))
 
 
@@ -227,13 +218,13 @@ def eta_kahler(t: HermitianTriple, plan: SamplePlan | None = None):
     K is built from the constant frame metric and checked for centrality
     against functions and differentials; when b = 0 the report also
     carries the default-path checks and ties dbar(eta) to c K."""
-    chart = one_dim_chart()
-    s, fr = _build(t, chart)
+    s, fr = _build(t)
+    chart = s.chart
     eta, etabar, rep = eta_forms(s, fr, plan)
     K, rep2 = kahler_form(s, fr, h=[[0, 0], [-1, 0]], plan=plan)
     rep.extend(rep2)
 
-    P = p_scalar(t, chart)
+    P = p_scalar(t)
     want = DiffForm(chart, {(0, 1): RatExpr.one(chart) / (P * P)})
     diff = K - want
     rep.add("kahler-metric-coefficient", diff.is_zero(), str(diff))

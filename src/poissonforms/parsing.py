@@ -221,7 +221,10 @@ class _Parser:
                         f"exponent above {MAX_EXPONENT}, counting nested powers", pos)
                 t = _size(out)
                 self._check_size(comb(t + abs(n) - 1, abs(n)), pos)
-                return DiffForm.from_scalar(out.scalar_part() ** n)
+                base = out.scalar_part()
+                if n < 0 and base.is_zero():
+                    raise ParseError("division by zero", pos)
+                return DiffForm.from_scalar(base ** n)
             rhs = self.factor()
             self._check_size(_size(out) * _size(rhs), pos)
             return out * rhs

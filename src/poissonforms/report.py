@@ -29,8 +29,8 @@ class Check:
         }
 
     @staticmethod
-    def not_applicable(name: str, location: str = "") -> "Check":
-        c = Check(name, True, "", location)
+    def not_applicable(name: str) -> "Check":
+        c = Check(name, True, "")
         c.status = "not-applicable"
         return c
 
@@ -59,8 +59,8 @@ class VerificationReport:
     def add(self, name: str, ok: bool, residual: str = "0", location: str = ""):
         self.checks.append(Check(name, ok, residual, location))
 
-    def add_not_applicable(self, name: str, location: str = ""):
-        self.checks.append(Check.not_applicable(name, location))
+    def add_not_applicable(self, name: str):
+        self.checks.append(Check.not_applicable(name))
 
     def extend(self, other: "VerificationReport"):
         self.checks.extend(other.checks)

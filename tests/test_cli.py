@@ -218,6 +218,28 @@ def test_canonical_build_stdout_and_rejection(tmp_path, capsys):
     assert "yang-baxter" in out
 
 
+def test_canonical_build_validates_constants_once(tmp_path, capsys,
+                                                 monkeypatch):
+    """`canonical build` reports failing constants itself, so the build
+    it runs on passing ones does not check them again."""
+    import poissonforms.canonical as canonical
+    import poissonforms.cli as cli
+
+    calls = []
+    check = canonical.check_constants
+
+    def counted(c):
+        calls.append(c)
+        return check(c)
+
+    monkeypatch.setattr(canonical, "check_constants", counted)
+    monkeypatch.setattr(cli, "check_constants", counted)
+    path = write_json(tmp_path / "c.json",
+                      constants_to_dict(affine_constants()))
+    code, _, _ = run_cli(capsys, "canonical", "build", path)
+    assert (code, len(calls)) == (0, 1)
+
+
 def test_canonical_transform(tmp_path, capsys):
     path = write_json(tmp_path / "c.json",
                       constants_to_dict(mixed_constants()))
