@@ -7,7 +7,10 @@ conjugate and appears only on complex charts.
 
 Constants file: {"dim", "Rt": [{"A","B","C","D","value"}...], "f", "g"}
 with sparse zero-based entries; "value" is {"re", "im"} with exact
-rationals written as strings.  Omitted entries are zero.
+rationals written as strings.  Omitted entries are zero.  "dim" is at
+most MAX_DIM, because the canonical commands do work that grows with it
+before they read a single entry, such as building a chart of `dim`
+coordinates.
 
 Dictionaries are built in a fixed field order so serialized output is
 byte-stable.
@@ -22,6 +25,8 @@ from .bracket import PoissonStructure
 from .canonical import CanonicalConstants
 from .ratexpr import Chart
 from .scalars import GaussianRational
+
+MAX_DIM = 32
 
 
 def _expect_dict(d, what: str) -> dict:
@@ -144,6 +149,8 @@ def constants_from_dict(d) -> CanonicalConstants:
     dim = d.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValueError("dim must be a positive integer")
+    if dim > MAX_DIM:
+        raise ValueError(f"dim must be at most {MAX_DIM}")
     parsed = {}
     for field, keys in _ENTRY_KEYS.items():
         entries = []

@@ -60,8 +60,8 @@ def _contract(spec: str, *tensors) -> dict:
 
 def _sum(terms) -> dict:
     """The nonzero entries of the sum of k * _contract(spec, *operands)
-    over the terms (k, spec, operands)."""
-    return _accumulate((idx, k * v)
+    over the terms (k, spec, operands); k = 1 and k = -1 take no product."""
+    return _accumulate((idx, v if k == 1 else -v if k == -1 else k * v)
                        for k, spec, operands in terms
                        for idx, v in _contract(spec, *operands).items())
 

@@ -20,7 +20,7 @@ when its predicted size exceeds MAX_TERMS terms.  A value's size is the
 number of terms of the larger of numerator and denominator, summed over
 its coefficients; a product is predicted to have the product of its
 operands' sizes, and a power p^n of a value of size t the C(t+n-1, n)
-monomials of degree n in t terms.  A sum of two polynomials is predicted
+monomials of degree n in t terms, a zero value counting as size 1.  A sum of two polynomials is predicted
 to have the sum of their sizes; any other sum brings its fractions to a
 common denominator, which multiplies them, and is predicted to have
 twice the product of the sizes.
@@ -219,7 +219,7 @@ class _Parser:
                 if self.exponent > MAX_EXPONENT:
                     raise ParseError(
                         f"exponent above {MAX_EXPONENT}, counting nested powers", pos)
-                t = _size(out)
+                t = max(_size(out), 1)
                 self._check_size(comb(t + abs(n) - 1, abs(n)), pos)
                 base = out.scalar_part()
                 if n < 0 and base.is_zero():

@@ -13,6 +13,14 @@ GaussianRationals.
 The monomial order everywhere is graded lexicographic over the variable
 positions, which fixes leading terms, printing order, and the normal form
 of gcd results.
+
+`poly_gcd` is a primitive pseudo-remainder sequence in the first variable
+v that either operand uses, with contents taken recursively.  Two
+shortcuts keep its operands small: a gcd with a single term c x^e is the
+monomial of the least exponents over both operands, read off without
+division; and when the operand q of lower degree in v is primitive in v,
+gcd(p, q) = gcd(q, prem(p, q)), so the content of the larger operand p is
+never taken.
 """
 
 from __future__ import annotations
@@ -441,8 +449,10 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return q.monic()
     if q.is_zero():
         return p.monic()
-    if p.is_const() or q.is_const():
-        return Poly.const(p.nvars, 1)
+    if len(p.coeffs) == 1 or len(q.coeffs) == 1:
+        # A term divides exactly the terms with at least its exponents.
+        low = tuple(map(min, *p.coeffs, *q.coeffs))
+        return _raw(p.nvars, {low: (1, 0)}, 1)
     if p == q:
         return p.monic()
 
@@ -453,20 +463,23 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
                 used[j] = True
     v = used.index(True)
 
-    dp, dq = p.degree_in(v), q.degree_in(v)
-    if dp == 0:
-        return poly_gcd(p, _content(q, v))
-    if dq == 0:
+    if p.degree_in(v) < q.degree_in(v):
+        p, q = q, p
+    if q.degree_in(v) == 0:
         return poly_gcd(_content(p, v), q)
+    cont_q = _content(q, v)
+    if cont_q.is_const():
+        # A factor of q that divides lc(q), which is free of v, would
+        # divide q's content: gcd(q, p) = gcd(q, lc(q)^k p) = gcd(q, prem).
+        r = _prem(p, q, v)
+        return poly_gcd(q, _primitive(r)) if r else q.monic()
 
     # The result is made monic, so constant factors are free: every
     # remainder is cut to its primitive integer part to keep ints small.
-    cont_p, cont_q = _content(p, v), _content(q, v)
+    cont_p = _content(p, v)
     a = _primitive(p.divexact(cont_p))
     b = _primitive(q.divexact(cont_q))
     c = poly_gcd(cont_p, cont_q)
-    if a.degree_in(v) < b.degree_in(v):
-        a, b = b, a
     while True:
         r = _prem(a, b, v)
         if r.is_zero():

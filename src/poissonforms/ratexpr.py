@@ -2,10 +2,25 @@
 
 A RatExpr is a reduced fraction of polynomials with a monic denominator,
 so structural equality is semantic equality.  Its arithmetic runs on the
-integer coefficients of the polynomials: the unit and monic tests read
-ints, and no gcd is taken for a negation, for a constant factor or
-divisor, or to differentiate a polynomial.  Charts carry the coordinate
-names plus, for complex charts, the pairing that drives conjugation.
+integer coefficients of the polynomials and keeps that form while taking
+its gcds on the smallest polynomials that decide the result, as
+`fractions.Fraction` does (Knuth, TAOCP vol. 2, 4.5.1).  For reduced
+a/b and c/d:
+
+- a/b * c/d cancels g1 = gcd(a, d) and g2 = gcd(c, b) and needs no
+  further gcd; a quotient is the product with the reciprocal d/c, made
+  monic.
+- a/b + c/d takes g = gcd(b, d), and then, when g is not 1, gcd(t, g)
+  for t = a (d/g) + c (b/g), the only factor t can share with the
+  denominator.
+- A constant operand decides a gcd without computing it, so polynomial
+  operands, constant factors and divisors, negation and the derivative
+  of a polynomial take none.
+
+The constructor is the one general normaliser, a gcd of the whole
+numerator and denominator, for the parser, `diff`, `__pow__` and
+`conj`.  Charts carry the coordinate names plus, for complex charts,
+the pairing that drives conjugation.
 """
 
 from __future__ import annotations
@@ -197,13 +212,23 @@ class RatExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == o.den:
-            return RatExpr(self.chart, self.num + o.num, self.den)
-        if self.is_poly() or o.is_poly():
-            # (n + p d)/d is reduced whenever n/d is, and d is monic.
-            f, p = (o, self) if self.is_poly() else (self, o)
-            return RatExpr._of(self.chart, f.num + p.num * f.den, f.den)
-        return RatExpr(self.chart, self.num * o.den + o.num * self.den, self.den * o.den)
+        # Henrici: with g = gcd(b, d), a/b + c/d = t/(s d) for s = b/g and
+        # t = a d/g + c s, and only g can share a factor with t.
+        chart = self.chart
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if b.is_const() and d.is_const():
+            return RatExpr._of(chart, a + c, chart.unit)
+        g = _common(b, d)
+        if g is None:
+            return RatExpr._of(chart, _times(a, d) + _times(c, b), _times(b, d))
+        s = b.divexact(g)
+        t = a * d.divexact(g) + c * s
+        if t.is_zero():
+            return RatExpr._of(chart, t, chart.unit)
+        g2 = _common(t, g)
+        if g2 is None:
+            return RatExpr._of(chart, t, s * d)
+        return RatExpr._of(chart, t.divexact(g2), s * d.divexact(g2))
 
     __radd__ = __add__
 
@@ -223,13 +248,11 @@ class RatExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = (o, self) if self.is_const() else (self, o)
-        if b.is_const():
-            # A nonzero constant factor keeps the reduced monic denominator.
-            if b.is_zero():
-                return b
-            return RatExpr._of(self.chart, a.num * b.num, a.den)
-        return RatExpr(self.chart, self.num * o.num, self.den * o.den)
+        if o.is_zero():
+            return o
+        if self.den.is_const() and o.den.is_const():
+            return RatExpr._of(self.chart, self.num * o.num, self.chart.unit)
+        return self._product(o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -239,9 +262,27 @@ class RatExpr:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero expression")
-        if o.is_const():
-            return RatExpr._of(self.chart, self.num.divexact(o.num), self.den)
-        return RatExpr(self.chart, self.num * o.den, self.den * o.num)
+        # The reciprocal of a reduced o is reduced; make its denominator monic.
+        c, d = o.den, o.num
+        if not d.is_monic():
+            inv = d.leading_inverse()
+            c, d = c * inv, d * inv
+        return self._product(c, d)
+
+    def _product(self, c: Poly, d: Poly) -> "RatExpr":
+        """self * c/d for a reduced c/d with monic d, by cross-cancelling:
+        with g1 = gcd(a, d) and g2 = gcd(c, b), (a/g1 c/g2)/(b/g2 d/g1) is
+        already reduced and monic."""
+        a, b = self.num, self.den
+        if a.is_zero():
+            return self
+        g1 = _common(a, d)
+        if g1 is not None:
+            a, d = a.divexact(g1), d.divexact(g1)
+        g2 = _common(c, b)
+        if g2 is not None:
+            c, b = c.divexact(g2), b.divexact(g2)
+        return RatExpr._of(self.chart, a * c, _times(b, d))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -303,6 +344,24 @@ class RatExpr:
 
     def __repr__(self):
         return f"RatExpr({self})"
+
+
+def _common(p: Poly, q: Poly):
+    """The monic gcd of nonzero p and q, or None when it is 1.  A constant
+    operand decides that without calling poly_gcd."""
+    if p.is_const() or q.is_const():
+        return None
+    g = poly_gcd(p, q)
+    return None if g.is_const() else g
+
+
+def _times(p: Poly, q: Poly) -> Poly:
+    """p * q, without the product when either is the constant 1."""
+    if q.is_one():
+        return p
+    if p.is_one():
+        return q
+    return p * q
 
 
 def _poly_subst(p: Poly, values: list, target: Chart) -> RatExpr:

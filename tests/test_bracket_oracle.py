@@ -18,10 +18,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poissonforms import polynomials, ratexpr
 from poissonforms.bracket import (PoissonStructure, SamplePlan, random_form,
                                   random_scalar, verify_axioms)
 from poissonforms.forms import DiffForm
 from poissonforms.geometry import cyclic_jacobi
+from poissonforms.polynomials import poly_gcd
 from poissonforms.ratexpr import Chart, RatExpr
 
 from identities import darboux_p
@@ -194,12 +196,11 @@ def _built(name):
 
 
 def _mixed_form(chart, rng):
-    """A sum of random homogeneous forms of distinct degrees in [0, n].
-    Coefficients are linear: with a rational connection, quadratic ones
-    make a few brackets reach `poly_gcd` inputs that take minutes."""
+    """A sum of random homogeneous forms of distinct degrees in [0, n],
+    with quadratic coefficients."""
     out = DiffForm.zero(chart)
     for k in rng.sample(range(chart.n + 1), rng.randint(1, 2)):
-        out = out + random_form(chart, rng, 1, k)
+        out = out + random_form(chart, rng, 2, k)
     return out
 
 
@@ -225,3 +226,33 @@ def test_structures_include_non_poisson_ones():
     for name in ("real2-darboux-gamma", "complex2-random-p-gamma"):
         rep = verify_axioms(_built(name), SamplePlan(count=0))
         assert any(c.name == "axiom-jacobi" for c in rep.failures), name
+
+
+GCD_CALL_LIMIT = 800
+
+
+def test_rational_bracket_takes_few_gcds(monkeypatch):
+    """On the rational connection, the forms that random.Random(17) draws
+    make the bracket sum fractions whose gcd pairs a 69-term numerator with
+    (z0 + (-2-2i)*w1 + 1)^2.  Taking the content of the big operand there
+    makes the pseudo-remainder coefficients grow for minutes; the bracket
+    needs about 450 poly_gcd calls, recursive ones included.  The counter
+    makes a gcd that runs away fail fast instead of hanging."""
+    s = STRUCTURES["complex4-darboux-rational"]()
+    rng = random.Random(17)
+    f = _mixed_form(s.chart, rng)
+    g = _mixed_form(s.chart, rng)
+    calls = 0
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        if calls > GCD_CALL_LIMIT:
+            raise AssertionError(f"more than {GCD_CALL_LIMIT} poly_gcd calls")
+        return poly_gcd(p, q)
+
+    monkeypatch.setattr(polynomials, "poly_gcd", counted)
+    monkeypatch.setattr(ratexpr, "poly_gcd", counted)
+    got = s.bracket(f, g)
+    monkeypatch.undo()
+    assert got == reference_bracket(s, f, g)

@@ -8,7 +8,7 @@ import pytest
 from poissonforms.canonical import (CanonicalConstants, CanonicalTransform,
                                     build_canonical, transform_constants)
 from poissonforms.cli import main
-from poissonforms.files import (chart_from_dict, chart_to_dict,
+from poissonforms.files import (MAX_DIM, chart_from_dict, chart_to_dict,
                                 constants_from_dict, constants_to_dict,
                                 load_structure, scalar_from_dict,
                                 scalar_to_dict, structure_from_dict,
@@ -119,6 +119,20 @@ def test_malformed_inputs_rejected():
                                               "value": {"re": "1"}}]})
     with pytest.raises(ValueError, match="must be an array"):
         structure_from_dict({"chart": {"coords": ["x"]}, "P": "nope"})
+
+
+def test_constants_dim_is_bounded(tmp_path, capsys):
+    """A constants file may not ask for more than MAX_DIM coordinates:
+    the canonical commands would build that chart before reading an
+    entry.  Only the check is run on the huge dim, never a build."""
+    assert constants_from_dict({"dim": MAX_DIM}).dim == MAX_DIM
+    for dim in (MAX_DIM + 1, 10 ** 9):
+        with pytest.raises(ValueError, match=f"dim must be at most {MAX_DIM}"):
+            constants_from_dict({"dim": dim})
+    path = write_json(tmp_path / "huge.json", {"dim": 10 ** 9})
+    code, out, err = run_cli(capsys, "canonical", "check", path)
+    assert (code, out) == (2, "")
+    assert f"at most {MAX_DIM}" in err
 
 
 # -- verify ----------------------------------------------------------------

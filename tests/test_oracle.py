@@ -4,11 +4,14 @@ Small random polynomials over Q(i) in two variables go through RatExpr
 arithmetic, `diff`, `conj`, `subst`, `eval_at` and `poly_gcd`, and the
 results are compared with sympy's `cancel`, `diff`, `conjugate`, `subs`
 and `gcd` on the same input; a substitution or point that makes the
-denominator vanish must raise ZeroDivisionError.  `poly_gcd` and
-`divexact` are also checked in three variables.  A RatExpr must be
-the same rational function as sympy's, fully reduced (its denominator
-differs from sympy's by a constant factor only) and have a monic
-denominator.
+denominator vanish must raise ZeroDivisionError.  Field operations are
+also drawn on pairs that share factors across operands and on monomial
+parts, so that the cross-cancelling product and the Henrici sum take
+nontrivial gcds.  `poly_gcd` and `divexact` are also checked in three
+variables, on monomials and on operands with nontrivial content.  A
+RatExpr must be the same rational function as sympy's, fully reduced
+(its denominator differs from sympy's by a constant factor only) and
+have a monic denominator.
 """
 
 from fractions import Fraction
@@ -87,15 +90,39 @@ def _assert_agrees(got: RatExpr, want, symbols=SYMBOLS):
     assert got.den.leading()[1].is_one()
 
 
-@ORACLE
-@given(_ratexprs(), _ratexprs())
-def test_field_operations_match_cancel(a, b):
-    sa, sb = _sym(a), _sym(b)
-    _assert_agrees(a + b, sa + sb)
-    _assert_agrees(a - b, sa - sb)
-    _assert_agrees(a * b, sa * sb)
+_monomials = _polys(2, 1, nonzero=True)
+_parts = st.one_of(_factors, _monomials)
+
+
+@st.composite
+def _sharing_pairs(draw):
+    """a = n1 f/(d1 h k) and b = n2 h/(d2 f k) on the real or the complex
+    chart, so that gcd(a.num, b.den), gcd(b.num, a.den) and
+    gcd(a.den, b.den) are nontrivial unless a reduction took f, h or k
+    out; any part may be a monomial."""
+    chart, symbols = draw(st.sampled_from([(CHART, SYMBOLS),
+                                           (COMPLEX_CHART, COMPLEX_SYMBOLS)]))
+    n1, n2 = draw(st.one_of(_bodies, _monomials)), draw(st.one_of(_bodies, _monomials))
+    d1, d2 = draw(_parts), draw(_parts)
+    f, h, k = draw(_parts), draw(_parts), draw(_parts)
+    return (RatExpr(chart, n1 * f, d1 * h * k),
+            RatExpr(chart, n2 * h, d2 * f * k), symbols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.tuples(_ratexprs(), _ratexprs(), st.just(SYMBOLS)),
+                 _sharing_pairs()))
+def test_field_operations_match_cancel(pair):
+    """(b - a) + a cancels the factors of a's denominator that b's lacks:
+    the numerator of that sum shares them with the denominators' gcd."""
+    a, b, symbols = pair
+    sa, sb = _sym(a, symbols), _sym(b, symbols)
+    _assert_agrees(a + b, sa + sb, symbols)
+    _assert_agrees(a - b, sa - sb, symbols)
+    _assert_agrees((b - a) + a, sb, symbols)
+    _assert_agrees(a * b, sa * sb, symbols)
     if not b.is_zero():
-        _assert_agrees(a / b, sa / sb)
+        _assert_agrees(a / b, sa / sb, symbols)
 
 
 @ORACLE
@@ -119,19 +146,31 @@ _coeffs7 = st.builds(GaussianRational,
                      *[st.builds(Fraction, st.integers(-7, 7), st.integers(1, 7))] * 2)
 
 
-@ORACLE
-@given(_polys(2, 4, nvars=3, coeffs=_coeffs7), _polys(2, 4, nvars=3, coeffs=_coeffs7),
-       _polys(1, 2, nonzero=True, nvars=3, coeffs=_coeffs7))
-def test_poly_gcd_and_divexact_in_three_variables(p, q, c):
-    p, q = p * c, q * c
-    assume(not (p.is_zero() and q.is_zero()))
-    g = poly_gcd(p, q)
-    assert g.leading()[1].is_one()
-    sg = _sym_poly(g, SYMBOLS3)
-    assert _is_constant(sg / sympy.gcd(_sym_poly(p, SYMBOLS3), _sym_poly(q, SYMBOLS3)))
-    for f in (p, q):
-        quot = f.divexact(g)
-        assert sympy.expand(_sym_poly(quot, SYMBOLS3) * sg - _sym_poly(f, SYMBOLS3)) == 0
+_operands3 = st.one_of(_polys(2, 4, nvars=3, coeffs=_coeffs7),
+                       _polys(2, 1, nonzero=True, nvars=3, coeffs=_coeffs7))
+# Nonconstant, free of x: the content in x of a product with it.
+_contents3 = st.dictionaries(st.tuples(st.just(0), st.integers(0, 1), st.integers(0, 1)),
+                             _coeffs7, min_size=1, max_size=2).map(
+    lambda t: Poly(3, t)).filter(lambda p: not p.is_const())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_operands3, _operands3, _polys(1, 2, nonzero=True, nvars=3, coeffs=_coeffs7),
+       _contents3)
+def test_poly_gcd_and_divexact_in_three_variables(p, q, c, content):
+    """Operands may be monomials; the second pair puts a primitive q
+    against a p with nontrivial content in x."""
+    x = Poly.variable(3, 0)
+    for p, q in ((p * c, q * c), (p * c * content, q * c + x)):
+        if p.is_zero() and q.is_zero():
+            continue
+        g = poly_gcd(p, q)
+        assert g.leading()[1].is_one()
+        sg = _sym_poly(g, SYMBOLS3)
+        assert _is_constant(sg / sympy.gcd(_sym_poly(p, SYMBOLS3), _sym_poly(q, SYMBOLS3)))
+        for f in (p, q):
+            quot = f.divexact(g)
+            assert sympy.expand(_sym_poly(quot, SYMBOLS3) * sg - _sym_poly(f, SYMBOLS3)) == 0
 
 
 @ORACLE

@@ -85,6 +85,18 @@ def test_exponent_is_bounded(ch):
             parse_scalar(text, ch)
 
 
+def test_powers_of_zero(ch):
+    """0^0 is 1, as x^0 and RatExpr.__pow__(0) are; a negative power of
+    zero is a division by zero."""
+    for text in ("0^0", "(x-x)^0", "(0)^0", "-0^0"):
+        assert parse_scalar(text, ch) == (-1 if text[0] == "-" else 1)
+    assert parse_scalar("0^3", ch) == 0
+    assert parse_scalar("(x-x)^2 + 0^0*x", ch) == RatExpr.variable(ch, "x")
+    for text in ("0^-1", "(x-x)^-2", "(0^0 - 1)^-1"):
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_scalar(text, ch)
+
+
 def test_expansion_size_is_bounded():
     """Sums, products, quotients, wedges and powers are refused before
     they are expanded when the predicted term count exceeds MAX_TERMS."""

@@ -166,3 +166,49 @@ def test_integer_arithmetic_builds_no_scalars(monkeypatch, czx):
     assert built == []
     assert got[2].num.terms  # the GaussianRational view is counted
     assert built
+
+
+def test_gcd_arguments_are_no_larger_than_the_operands(monkeypatch, czx):
+    """No poly_gcd argument has more terms than the two operands together,
+    the size of an operand being that of its larger polynomial.  A
+    product cross-cancels each numerator against the other denominator;
+    a sum takes the gcd of the two denominators and, when they share a
+    factor g, the gcd of g with t = a (d/g) + c (b/g), which here, with
+    denominators that are coprime or differ by monomials, has at most the
+    terms of the two numerators.  Reducing (a c)/(b d) or (a d + c b)/(b d)
+    would take gcds of the products."""
+    f, g, h = (parse_scalar(t, czx) for t in
+               ("z + zb + 1", "z*zb - 2*i", "zb^2 + 3*z - 1"))
+    n1, n2 = (parse_scalar(t, czx) for t in ("z^2 + i*zb + 2", "3*z*zb + zb - 1"))
+    d1, d2 = (parse_scalar(t, czx) for t in ("z - zb + 5", "z*zb + zb + 4"))
+    z, zb = RatExpr.variable(czx, "z"), RatExpr.variable(czx, "zb")
+    a = n1 * f / (d1 * g)
+    cases = [
+        ("*", a, n2 * g / (d2 * f)),   # gcd(a, d) and gcd(c, b) nontrivial
+        ("/", a, d2 * f / (n2 * g)),
+        ("+", a, n2 / d2),             # coprime denominators
+        ("+", a, n2 * h / (d1 * g)),   # one denominator
+        ("+", n1 / (g * h * z), n2 / (g * h * zb)),  # a shared factor g h
+        ("+", a, -a + n2 / (d1 * g)),
+    ]
+    calls = []
+    gcd = ratexpr.poly_gcd
+
+    def recording(p, q):
+        calls.append((p, q))
+        return gcd(p, q)
+
+    for op, u, v in cases:
+        size = max(u.num.nterms(), u.den.nterms()) + max(v.num.nterms(), v.den.nterms())
+        monkeypatch.setattr(ratexpr, "poly_gcd", recording)
+        del calls[:]
+        got = u * v if op == "*" else u / v if op == "/" else u + v
+        monkeypatch.setattr(ratexpr, "poly_gcd", gcd)
+        assert calls, op
+        assert max(p.nterms() for pair in calls for p in pair) <= size, op
+        if op == "*":
+            assert got == RatExpr(czx, u.num * v.num, u.den * v.den)
+        elif op == "/":
+            assert got == RatExpr(czx, u.num * v.den, u.den * v.num)
+        else:
+            assert got == RatExpr(czx, u.num * v.den + v.num * u.den, u.den * v.den)
