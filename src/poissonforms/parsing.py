@@ -20,10 +20,10 @@ when its predicted size exceeds MAX_TERMS terms.  A value's size is the
 number of terms of the larger of numerator and denominator, summed over
 its coefficients; a product is predicted to have the product of its
 operands' sizes, and a power p^n of a value of size t the C(t+n-1, n)
-monomials of degree n in t terms, a zero value counting as size 1.  A sum of two polynomials is predicted
-to have the sum of their sizes; any other sum brings its fractions to a
-common denominator, which multiplies them, and is predicted to have
-twice the product of the sizes.
+monomials of degree n in t terms, a zero value counting as size 1.  A
+sum of two polynomials is predicted to have the sum of their sizes; any
+other sum brings its fractions to a common denominator, which multiplies
+them, and is predicted to have twice the product of the sizes.
 """
 
 from __future__ import annotations

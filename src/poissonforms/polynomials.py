@@ -467,19 +467,20 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         p, q = q, p
     if q.degree_in(v) == 0:
         return poly_gcd(_content(p, v), q)
-    cont_q = _content(q, v)
-    if cont_q.is_const():
-        # A factor of q that divides lc(q), which is free of v, would
-        # divide q's content: gcd(q, p) = gcd(q, lc(q)^k p) = gcd(q, prem).
-        r = _prem(p, q, v)
-        return poly_gcd(q, _primitive(r)) if r else q.monic()
-
     # The result is made monic, so constant factors are free: every
     # remainder is cut to its primitive integer part to keep ints small.
-    cont_p = _content(p, v)
-    a = _primitive(p.divexact(cont_p))
-    b = _primitive(q.divexact(cont_q))
-    c = poly_gcd(cont_p, cont_q)
+    # The sequence needs only b primitive in v: a factor of b that divides
+    # lc(b), which is free of v, would divide b's content, so
+    # gcd(a, b) = gcd(b, lc(b)^k a) = gcd(b, prem(a, b)).  When q is
+    # primitive, p's content is never taken.
+    cont_q = _content(q, v)
+    if cont_q.is_const():
+        a, b, c = _primitive(p), _primitive(q), None
+    else:
+        cont_p = _content(p, v)
+        a = _primitive(p.divexact(cont_p))
+        b = _primitive(q.divexact(cont_q))
+        c = poly_gcd(cont_p, cont_q)
     while True:
         r = _prem(a, b, v)
         if r.is_zero():
@@ -489,4 +490,4 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
             g = Poly.const(p.nvars, 1)
             break
         a, b = b, _primitive(r.divexact(_content(r, v)))
-    return (c * g).monic()
+    return g.monic() if c is None else (c * g).monic()

@@ -216,8 +216,6 @@ class RatExpr:
         # t = a d/g + c s, and only g can share a factor with t.
         chart = self.chart
         a, b, c, d = self.num, self.den, o.num, o.den
-        if b.is_const() and d.is_const():
-            return RatExpr._of(chart, a + c, chart.unit)
         g = _common(b, d)
         if g is None:
             return RatExpr._of(chart, _times(a, d) + _times(c, b), _times(b, d))
@@ -250,8 +248,6 @@ class RatExpr:
             return NotImplemented
         if o.is_zero():
             return o
-        if self.den.is_const() and o.den.is_const():
-            return RatExpr._of(self.chart, self.num * o.num, self.chart.unit)
         return self._product(o.num, o.den)
 
     __rmul__ = __mul__
