@@ -236,7 +236,7 @@ def test_rational_bracket_takes_few_gcds(monkeypatch):
     make the bracket sum fractions whose gcd pairs a 69-term numerator with
     (z0 + (-2-2i)*w1 + 1)^2.  Taking the content of the big operand there
     makes the pseudo-remainder coefficients grow for minutes; the bracket
-    needs about 450 poly_gcd calls, recursive ones included.  The counter
+    needs about 220 poly_gcd calls, recursive ones included.  The counter
     makes a gcd that runs away fail fast instead of hanging."""
     s = STRUCTURES["complex4-darboux-rational"]()
     rng = random.Random(17)
