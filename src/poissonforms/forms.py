@@ -5,12 +5,11 @@ the empty tuple holds the function part.  Mixed-degree sums are allowed,
 graded operations split them into homogeneous parts.  A sum of terms
 c dx^i ^ dx^j ^ ... with indices in any order is one `_signed_sum`: each
 index tuple is sorted by `sort_indices`, whose permutation sign is the
-wedge sign, and the terms are summed by `linalg._accumulate`.
+wedge sign.  Sums and wedge products of forms are such sums too.
 """
 
 from __future__ import annotations
 
-from .linalg import _accumulate
 from .ratexpr import Chart, RatExpr
 from .scalars import GaussianRational
 
@@ -38,15 +37,17 @@ def _signed_sum(chart: Chart, terms) -> "DiffForm":
     """The form summing s * f1 * f2 * ... dx^idxs[0] ^ dx^idxs[1] ^ ...
     over the terms (idxs, s, (f1, f2, ...)) with s = 1 or -1; a term with
     a repeated index is zero, and its factors are not multiplied."""
-    def signed():
-        for idxs, s, factors in terms:
-            sign, key = sort_indices(idxs)
-            if sign:
-                c = factors[0]
-                for m in factors[1:]:
-                    c = c * m
-                yield key, (-c if sign * s < 0 else c)
-    return DiffForm._of(chart, _accumulate(signed()))
+    acc = {}
+    for idxs, s, factors in terms:
+        sign, key = sort_indices(idxs) if len(idxs) > 1 else (1, idxs)
+        if sign:
+            c = factors[0]
+            for m in factors[1:]:
+                c = c * m
+            if sign != s:
+                c = -c
+            acc[key] = acc[key] + c if key in acc else c
+    return DiffForm._of(chart, {key: c for key, c in acc.items() if c})
 
 
 class DiffForm:
@@ -125,7 +126,8 @@ class DiffForm:
         return ds.pop()
 
     def homogeneous_part(self, k: int) -> "DiffForm":
-        return DiffForm(self.chart, {i: c for i, c in self.parts.items() if len(i) == k})
+        return DiffForm._of(self.chart, {i: c for i, c in self.parts.items()
+                                         if len(i) == k})
 
     def scalar_part(self) -> RatExpr:
         return self.parts.get((), RatExpr.zero(self.chart))
@@ -154,14 +156,7 @@ class DiffForm:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        parts = dict(self.parts)
-        for idxs, c in o.parts.items():
-            s = parts.get(idxs)
-            parts[idxs] = c if s is None else s + c
-        return DiffForm(self.chart, parts)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -169,10 +164,15 @@ class DiffForm:
         return DiffForm._of(self.chart, {i: -c for i, c in self.parts.items()})
 
     def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, s: int):
+        """self + s * other for s = 1 or -1."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _signed_sum(self.chart, ((idxs, k, (c,)) for f, k in ((self, 1), (o, s))
+                                        for idxs, c in f.parts.items()))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -182,18 +182,9 @@ class DiffForm:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        parts: dict = {}
-        for ia, ca in self.parts.items():
-            for ib, cb in o.parts.items():
-                sign, idxs = sort_indices(ia + ib)
-                if sign == 0:
-                    continue
-                c = ca * cb
-                if sign < 0:
-                    c = -c
-                s = parts.get(idxs)
-                parts[idxs] = c if s is None else s + c
-        return DiffForm(self.chart, parts)
+        return _signed_sum(self.chart, ((ia + ib, 1, (ca, cb))
+                                        for ia, ca in self.parts.items()
+                                        for ib, cb in o.parts.items()))
 
     def __rmul__(self, other):
         o = self._coerce(other)
@@ -203,6 +194,8 @@ class DiffForm:
 
     def scale(self, c) -> "DiffForm":
         o = self._coerce(c)
+        if o is None:
+            raise TypeError(f"cannot scale a form by {c!r}, a {type(c).__name__}")
         return o * self
 
     # -- calculus -----------------------------------------------------
@@ -261,7 +254,7 @@ class DiffForm:
             hp = sum(1 for j in idxs if j in holo)
             if hp == p and len(idxs) - hp == q:
                 parts[idxs] = c
-        return DiffForm(self.chart, parts)
+        return DiffForm._of(self.chart, parts)
 
     # -- comparison ---------------------------------------------------
 

@@ -9,7 +9,8 @@ a/b and c/d:
 
 - a/b * c/d cancels g1 = gcd(a, d) and g2 = gcd(c, b) and needs no
   further gcd; a quotient is the product with the reciprocal d/c, made
-  monic.
+  monic, and the constructor RatExpr(chart, n, d) is the product of n/1
+  with 1/d.
 - a/b + c/d takes g = gcd(b, d), and then, when g is not 1, gcd(t, g)
   for t = a (d/g) + c (b/g), the only factor t can share with the
   denominator.
@@ -17,10 +18,11 @@ a/b and c/d:
   operands, constant factors and divisors, negation and the derivative
   of a polynomial take none.
 
-The constructor is the one general normaliser, a gcd of the whole
-numerator and denominator, for the parser, `diff`, `__pow__` and
-`conj`.  Charts carry the coordinate names plus, for complex charts,
-the pairing that drives conjugation.
+The product and the sum are the only places a gcd is taken.  Powers and
+conjugates of a reduced fraction are reduced, so they are at most made
+monic, and the derivative of a fraction is the quotient (a'b - ab')/b^2.
+Charts carry the coordinate names plus, for complex charts, the pairing
+that drives conjugation.
 """
 
 from __future__ import annotations
@@ -126,25 +128,15 @@ class RatExpr:
     __slots__ = ("chart", "num", "den")
 
     def __init__(self, chart: Chart, num: Poly, den: Poly | None = None):
+        """num/den reduced: the product of num/1 with the reciprocal 1/den,
+        which cross-cancels gcd(num, den)."""
         if den is None:
             den = chart.unit
         elif den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        elif num.is_zero():
-            den = chart.unit
-        elif den.is_const():
-            if not den.is_one():
-                num = num.divexact(den)
-                den = chart.unit
         else:
-            g = poly_gcd(num, den)
-            if not g.is_const():
-                num = num.divexact(g)
-                den = den.divexact(g)
-            if not den.is_monic():
-                inv = den.leading_inverse()
-                num = num * inv
-                den = den * inv
+            q = RatExpr._of(chart, num, chart.unit)._product(*_monic(chart.unit, den))
+            num, den = q.num, q.den
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -259,11 +251,7 @@ class RatExpr:
         if o.is_zero():
             raise ZeroDivisionError("division by zero expression")
         # The reciprocal of a reduced o is reduced; make its denominator monic.
-        c, d = o.den, o.num
-        if not d.is_monic():
-            inv = d.leading_inverse()
-            c, d = c * inv, d * inv
-        return self._product(c, d)
+        return self._product(*_monic(o.den, o.num))
 
     def _product(self, c: Poly, d: Poly) -> "RatExpr":
         """self * c/d for a reduced c/d with monic d, by cross-cancelling:
@@ -278,20 +266,22 @@ class RatExpr:
         g2 = _common(c, b)
         if g2 is not None:
             c, b = c.divexact(g2), b.divexact(g2)
-        return RatExpr._of(self.chart, a * c, _times(b, d))
+        return RatExpr._of(self.chart, _times(a, c), _times(b, d))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o / self
 
     def __pow__(self, n: int):
-        if n == 0:
-            return RatExpr.one(self.chart)
+        """Powers of coprime a and b are coprime, and a power of a monic
+        polynomial is monic: (a/b)^n needs no gcd."""
         if n < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
-            return RatExpr(self.chart, self.den ** (-n), self.num ** (-n))
-        return RatExpr(self.chart, self.num ** n, self.den ** n)
+            return RatExpr._of(self.chart, *_monic(self.den ** -n, self.num ** -n))
+        return RatExpr._of(self.chart, self.num ** n, self.den ** n)
 
     def diff(self, which) -> "RatExpr":
         idx = self.chart.index(which) if isinstance(which, str) else which
@@ -301,8 +291,11 @@ class RatExpr:
         return RatExpr(self.chart, n.deriv(idx) * d - n * d.deriv(idx), d * d)
 
     def conj(self) -> "RatExpr":
+        """Conjugation is a ring automorphism, so the conjugate of a reduced
+        fraction is reduced; only its denominator is made monic again."""
         perm = self.chart.conj_perm()
-        return RatExpr(self.chart, self.num.conjugate(perm), self.den.conjugate(perm))
+        return RatExpr._of(self.chart, *_monic(self.num.conjugate(perm),
+                                                self.den.conjugate(perm)))
 
     def subst(self, values: list) -> "RatExpr":
         """Evaluate with coordinate j replaced by values[j] (RatExprs on a
@@ -349,6 +342,14 @@ def _common(p: Poly, q: Poly):
         return None
     g = poly_gcd(p, q)
     return None if g.is_const() else g
+
+
+def _monic(p: Poly, q: Poly) -> tuple:
+    """(p, q) scaled by one constant so that q is monic."""
+    if q.is_monic():
+        return p, q
+    inv = q.leading_inverse()
+    return p * inv, q * inv
 
 
 def _times(p: Poly, q: Poly) -> Poly:

@@ -9,10 +9,11 @@ from poissonforms.canonical import (CanonicalConstants, CanonicalTransform,
                                     build_canonical, transform_constants)
 from poissonforms.cli import main
 from poissonforms.files import (MAX_DIM, chart_from_dict, chart_to_dict,
-                                constants_from_dict, constants_to_dict,
-                                load_structure, scalar_from_dict,
-                                scalar_to_dict, structure_from_dict,
-                                structure_to_dict)
+                                constants_from_dict, constants_to_dict, dumps,
+                                load_constants, load_structure,
+                                save_constants, save_structure,
+                                scalar_from_dict, scalar_to_dict,
+                                structure_from_dict, structure_to_dict)
 from poissonforms.onedim import HermitianTriple, build_one_dim, one_dim_chart
 from poissonforms.bracket import PoissonStructure
 from poissonforms.ratexpr import Chart
@@ -95,6 +96,21 @@ def test_constants_round_trip():
                   2, g=[(0, 1, GaussianRational(Fraction(1, 2), 3)),
                         (1, 0, GaussianRational(Fraction(-1, 2), -3))])]:
         assert constants_from_dict(constants_to_dict(c)) == c
+
+
+def test_save_and_load_round_trip(tmp_path):
+    """Saved files hold the serialized dict and load to equal values."""
+    s = build_one_dim(HermitianTriple(1, GaussianRational(1, 2), 1))
+    path = tmp_path / "s.json"
+    save_structure(s, str(path))
+    assert path.read_text(encoding="utf-8") == dumps(structure_to_dict(s))
+    s2 = load_structure(str(path))
+    assert (s2.chart, s2.P, s2.Gamma) == (s.chart, s.P, s.Gamma)
+    c = mixed_constants()
+    path = tmp_path / "c.json"
+    save_constants(c, str(path))
+    assert path.read_text(encoding="utf-8") == dumps(constants_to_dict(c))
+    assert load_constants(str(path)) == c
 
 
 def test_scalar_dict_errors():

@@ -17,7 +17,7 @@ have a monic denominator.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from poissonforms.polynomials import Poly, poly_gcd
 from poissonforms.ratexpr import Chart, RatExpr
@@ -31,7 +31,10 @@ COMPLEX_CHART = Chart(("z", "zb"), kind="complex", pairs=(("z", "zb"),))
 # Real symbols: sympy's conjugate then acts on the coefficients only.
 COMPLEX_SYMBOLS = sympy.symbols("z zb", real=True)
 SYMBOLS3 = sympy.symbols("x y w")
-ORACLE = settings(max_examples=30, deadline=None)
+# No shrinking: each shrink step runs sympy's `cancel`, so a failing
+# example took minutes to report instead of seconds.
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+ORACLE = settings(max_examples=30, deadline=None, phases=NO_SHRINK)
 
 _fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 _coeffs = st.builds(GaussianRational, _fractions, _fractions)
@@ -109,12 +112,13 @@ def _sharing_pairs(draw):
             RatExpr(chart, n2 * h, d2 * f * k), symbols)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 @given(st.one_of(st.tuples(_ratexprs(), _ratexprs(), st.just(SYMBOLS)),
                  _sharing_pairs()))
 def test_field_operations_match_cancel(pair):
-    """(b - a) + a cancels the factors of a's denominator that b's lacks:
-    the numerator of that sum shares them with the denominators' gcd."""
+    """Sums, products, quotients and powers.  (b - a) + a cancels the
+    factors of a's denominator that b's lacks: the numerator of that sum
+    shares them with the denominators' gcd."""
     a, b, symbols = pair
     sa, sb = _sym(a, symbols), _sym(b, symbols)
     _assert_agrees(a + b, sa + sb, symbols)
@@ -123,6 +127,9 @@ def test_field_operations_match_cancel(pair):
     _assert_agrees(a * b, sa * sb, symbols)
     if not b.is_zero():
         _assert_agrees(a / b, sa / sb, symbols)
+    for k in (2, 3, -1, -2):
+        if k > 0 or not a.is_zero():
+            _assert_agrees(a ** k, sa ** k, symbols)
 
 
 @ORACLE
@@ -154,7 +161,7 @@ _contents3 = st.dictionaries(st.tuples(st.just(0), st.integers(0, 1), st.integer
     lambda t: Poly(3, t)).filter(lambda p: not p.is_const())
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 @given(_operands3, _operands3, _polys(1, 2, nonzero=True, nvars=3, coeffs=_coeffs7),
        _contents3)
 def test_poly_gcd_and_divexact_in_three_variables(p, q, c, content):

@@ -146,6 +146,31 @@ def test_polynomial_plus_fraction_takes_no_gcd(monkeypatch, czx):
     assert calls == []
 
 
+def test_powers_and_conjugates_take_no_gcd(monkeypatch, czx):
+    """Powers and conjugates of a reduced fraction are reduced and only
+    made monic; the constructor takes one gcd of numerator and
+    denominator.  The conjugate and the negative power below have
+    denominators that must be rescaled to monic."""
+    a = parse_scalar("(3*z + 2*i*zb)/(2*z^2 + zb^2 - i*z)", czx)
+    n, d, c = a.num, a.den, parse_scalar("z*zb - 1", czx).num
+    perm = czx.conj_perm()
+    want = [RatExpr(czx, n.conjugate(perm), d.conjugate(perm)),
+            RatExpr(czx, n ** 3, d ** 3), RatExpr(czx, d ** 2, n ** 2)]
+    calls = []
+    gcd = ratexpr.poly_gcd
+
+    def counting(p, q):
+        calls.append((p, q))
+        return gcd(p, q)
+
+    monkeypatch.setattr(ratexpr, "poly_gcd", counting)
+    got = [a.conj(), a ** 3, a ** -2]
+    assert calls == []
+    assert got == want
+    assert RatExpr(czx, n * c, d * c) == a
+    assert len(calls) == 1
+
+
 def test_integer_arithmetic_builds_no_scalars(monkeypatch, czx):
     """+, *, diff and conj on denominator-1 expressions with Gaussian-
     integer coefficients run on ints: no GaussianRational is built."""

@@ -32,7 +32,8 @@ def test_field_arithmetic():
 
 def test_mixed_arithmetic_defers_to_the_other_operand():
     """A scalar on the left of an expression or a form gives the same
-    result as on the right; other operands raise TypeError."""
+    result as on the right; other operands raise a TypeError that names
+    them."""
     ch = Chart(("x",))
     a = GaussianRational(2, 1)
     x = RatExpr.variable(ch, 0)
@@ -45,9 +46,10 @@ def test_mixed_arithmetic_defers_to_the_other_operand():
     assert a + w == w + a
     assert a - w == -(w - a)
     for op in (lambda: a / w, lambda: a * "x", lambda: "x" - a,
-               lambda: a + 0.5):
-        with pytest.raises(TypeError):
+               lambda: a + 0.5, lambda: 0.5 / x, lambda: w.scale(0.5)):
+        with pytest.raises(TypeError) as err:
             op()
+        assert "NoneType" not in str(err.value)
 
 
 def test_conjugate_and_norm():
