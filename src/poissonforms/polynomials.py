@@ -14,13 +14,14 @@ The monomial order everywhere is graded lexicographic over the variable
 positions, which fixes leading terms, printing order, and the normal form
 of gcd results.
 
-`poly_gcd` is a primitive pseudo-remainder sequence in the first variable
-v that either operand uses, with contents taken recursively.  Two
-shortcuts keep its operands small: a gcd with a single term c x^e is the
-monomial of the least exponents over both operands, read off without
-division; and when the operand q of lower degree in v is primitive in v,
-gcd(p, q) = gcd(q, prem(p, q)), so the content of the larger operand p is
-never taken.
+`poly_gcd` is a subresultant pseudo-remainder sequence in the first
+variable v that either operand uses: each remainder is divided by the
+factor it is known to carry, so contents are taken, recursively, of the
+operands and the last remainder only.  Two shortcuts keep the operands
+small: a gcd with a single term c x^e is the monomial of the least
+exponents over both operands, read off without division; and when the
+operand q of lower degree in v is primitive in v, so is the gcd, and the
+content of the larger operand p is never taken.
 """
 
 from __future__ import annotations
@@ -428,17 +429,18 @@ def _content(p: Poly, v: int) -> Poly:
 
 
 def _prem(a: Poly, b: Poly, v: int) -> Poly:
-    """Pseudo-remainder of a by b with respect to variable v."""
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b in variable v."""
     db = b.degree_in(v)
     lb = _coeffs_in(b, v)[db]
     r = a
-    while True:
+    k = a.degree_in(v) - db + 1
+    while not r.is_zero() and r.degree_in(v) >= db:
         dr = r.degree_in(v)
-        if dr < db or r.is_zero():
-            return r
         lr = _coeffs_in(r, v)[dr]
         shift = Poly.monomial(a.nvars, tuple(dr - db if j == v else 0 for j in range(a.nvars)))
         r = r * lb - b * shift * lr
+        k -= 1
+    return r * lb ** k if k else r
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -467,12 +469,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         p, q = q, p
     if q.degree_in(v) == 0:
         return poly_gcd(_content(p, v), q)
-    # The result is made monic, so constant factors are free: every
-    # remainder is cut to its primitive integer part to keep ints small.
-    # The sequence needs only b primitive in v: a factor of b that divides
-    # lc(b), which is free of v, would divide b's content, so
-    # gcd(a, b) = gcd(b, lc(b)^k a) = gcd(b, prem(a, b)).  When q is
-    # primitive, p's content is never taken.
+    # The subresultant algorithm of Collins and of Brown and Traub.
     cont_q = _content(q, v)
     if cont_q.is_const():
         a, b, c = _primitive(p), _primitive(q), None
@@ -481,13 +478,19 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         a = _primitive(p.divexact(cont_p))
         b = _primitive(q.divexact(cont_q))
         c = poly_gcd(cont_p, cont_q)
+    h = None  # until the first remainder, b is primitive in v
     while True:
+        d = a.degree_in(v) - b.degree_in(v)
         r = _prem(a, b, v)
         if r.is_zero():
-            g = b
             break
         if r.degree_in(v) == 0:
-            g = Poly.const(p.nvars, 1)
-            break
-        a, b = b, _primitive(r.divexact(_content(r, v)))
-    return g.monic() if c is None else (c * g).monic()
+            return Poly.const(p.nvars, 1) if c is None else c.monic()
+        if h is not None:
+            r = r.divexact(g * h ** d)
+        a, b = b, r
+        g = _coeffs_in(a, v)[a.degree_in(v)]
+        h = g ** d if h is None or d == 1 else (g ** d).divexact(h ** (d - 1))
+    if h is not None:
+        b = b.divexact(_content(b, v))
+    return b.monic() if c is None else (c * b).monic()

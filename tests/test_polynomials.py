@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poissonforms.polynomials import Poly, PolySum, poly_gcd
+from poissonforms.polynomials import Poly, PolySum, _prem, poly_gcd
 from poissonforms.scalars import GaussianRational
 
 
@@ -123,6 +123,29 @@ def test_gcd_three_vars():
     g = x + y * z
     assert poly_gcd(g * g * x, g * (y + z)) == g
     assert poly_gcd(x * y, y * z) == y
+
+
+def test_pseudo_remainder_carries_the_full_power():
+    """prem(a, b) = lc(b)^(deg a - deg b + 1) a mod b, also when one step
+    drops the degree by two: the subresultant divisions rely on it."""
+    x, y = xy()
+    assert _prem(x * x + Poly.const(2, 1), y * x, 0) == y * y
+
+
+def test_gcd_of_small_operands_stays_small():
+    """Pairs on which a remainder sequence that takes every remainder's
+    content runs for minutes: each content is a gcd of ever larger
+    coefficient polynomials."""
+    x, y, w = (Poly.variable(3, j) for j in range(3))
+    i = GaussianRational(0, 1)
+    c = Poly.const(3, 1 + 2 * i)
+    q = x ** 3 * y ** 3 * w * w + c * x * x * y * y * w * w + x
+    for p in ((x * y + c) * (x * x * w * w + (x * y).scale(i) - x * w + y * y * w * w),
+              (x * y + Poly.const(3, 1))
+              * (x * x * w * w + (x * y).scale(1 + i) - x * w + c * y * y * w * w)):
+        assert poly_gcd(p, q) == Poly.const(3, 1)
+        assert poly_gcd(p, q * p) == p.monic()
+        assert poly_gcd(p * (x + w), q * (x + w)) == x + w
 
 
 # -- normal form ------------------------------------------------------
