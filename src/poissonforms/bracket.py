@@ -138,15 +138,11 @@ class PoissonStructure:
         return out
 
     def _as_form(self, f) -> DiffForm:
-        if isinstance(f, DiffForm):
-            if f.chart != self.chart:
-                raise ValueError("form lives on a different chart")
-            return f
-        if isinstance(f, RatExpr):
-            return DiffForm.from_scalar(f)
-        if isinstance(f, (int, GaussianRational)):
-            return DiffForm.const(self.chart, f)
-        raise TypeError(f"cannot bracket {type(f).__name__}")
+        if not isinstance(f, DiffForm):
+            raise TypeError(f"cannot bracket {type(f).__name__}")
+        if f.chart != self.chart:
+            raise ValueError("form lives on a different chart")
+        return f
 
     def _expand(self, f: DiffForm, g: DiffForm):
         """The terms of (a dxI, b dxJ) in the module docstring over the

@@ -86,6 +86,8 @@ def chart_from_dict(d) -> Chart:
     d = _expect_dict(d, "chart")
     coords = [_expect_str(c, "coordinate") for c in
               _expect_list(d.get("coords"), "chart.coords")]
+    if not coords:
+        raise ValueError("chart.coords must name at least one coordinate")
     kind = d.get("kind", "real")
     pairs = ()
     if "pairing" in d:

@@ -10,8 +10,9 @@ wedge sign.  Sums and wedge products of forms are such sums too.
 
 from __future__ import annotations
 
+from .printing import form_str
 from .ratexpr import Chart, RatExpr
-from .scalars import GaussianRational
+from .scalars import SCALARS
 
 
 def sort_indices(idxs: tuple):
@@ -151,7 +152,7 @@ class DiffForm:
             return other
         if isinstance(other, RatExpr):
             return DiffForm.from_scalar(other)
-        if isinstance(other, (int, GaussianRational)):
+        if isinstance(other, SCALARS):
             return DiffForm.const(self.chart, other)
         return None
 
@@ -259,7 +260,7 @@ class DiffForm:
     # -- comparison ---------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, GaussianRational, RatExpr)):
+        if isinstance(other, RatExpr) or isinstance(other, SCALARS):
             other = self._coerce(other)
         if not isinstance(other, DiffForm):
             return NotImplemented
@@ -274,8 +275,6 @@ class DiffForm:
         return self._hash
 
     def __str__(self):
-        from .printing import form_str
-
         return form_str(self)
 
     def __repr__(self):

@@ -17,9 +17,7 @@ or a sum of a few.
 
 from __future__ import annotations
 
-import itertools
-
-from .linalg import _accumulate, _contract, _sum, invert_matrix
+from .linalg import _contract, _sum, invert_matrix
 from .parsing import parse_scalar
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
@@ -104,15 +102,6 @@ class Tensor:
             "tensor components")
 
     @staticmethod
-    def from_fn(chart: Chart, signature, fn) -> "Tensor":
-        """The tensor whose component at each index tuple idx is fn(idx)."""
-        sig = _signature(signature)
-        indices = itertools.product(range(chart.n), repeat=len(sig))
-        return Tensor._of(chart, sig, {
-            idx: v for idx in indices
-            if not (v := _entry(chart, fn(idx))).is_zero()})
-
-    @staticmethod
     def _of(chart: Chart, signature: tuple, components: dict) -> "Tensor":
         """The tensor with the nonzero components `components`."""
         t = object.__new__(Tensor)
@@ -136,9 +125,6 @@ class Tensor:
         v = self.components.get(idx)
         return RatExpr.zero(self.chart) if v is None else v
 
-    def indices(self):
-        return itertools.product(range(self.chart.n), repeat=self.rank)
-
     def nonzero_components(self):
         """The (index, value) pairs of the nonzero components, in index
         order."""
@@ -153,23 +139,13 @@ class Tensor:
         return (self.chart == other.chart and self.signature == other.signature
                 and self.components == other.components)
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        if self.chart != other.chart or self.signature != other.signature:
-            raise ValueError("tensor mismatch")
-        return Tensor._of(self.chart, self.signature, _accumulate(
-            itertools.chain(self.components.items(),
-                            ((idx, -v) for idx, v in other.components.items()))))
-
-    def to_lists(self):
-        return self._nested(lambda v: v)
-
     def to_strings(self):
-        return self._nested(str)
+        return self._nested(())
 
-    def _nested(self, leaf, prefix=()):
+    def _nested(self, prefix):
         if len(prefix) == self.rank:
-            return leaf(self[prefix])
-        return [self._nested(leaf, prefix + (i,)) for i in range(self.chart.n)]
+            return str(self[prefix])
+        return [self._nested(prefix + (i,)) for i in range(self.chart.n)]
 
     def __repr__(self):
         sig = "".join("u" if p == "up" else "d" for p, _ in self.signature)

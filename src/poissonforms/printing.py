@@ -4,13 +4,13 @@ rational expressions, and differential forms.
 Output is deterministic: terms print in descending graded lex order and
 form components in ascending degree, so equal values always render to
 identical strings.
+
+The annotations name `Poly`, `RatExpr` and `GaussianRational` without
+importing them: `ratexpr` and `forms` import this module to render
+themselves, so it sits below them and imports nothing of the package.
 """
 
 from __future__ import annotations
-
-from .polynomials import Poly
-from .ratexpr import RatExpr
-from .scalars import GaussianRational
 
 
 def _scalar_factor(c: GaussianRational) -> str:

@@ -30,7 +30,8 @@ from __future__ import annotations
 import re as _re
 
 from .polynomials import Poly, poly_gcd
-from .scalars import GaussianRational
+from .printing import ratexpr_str
+from .scalars import SCALARS, GaussianRational
 
 _NAME_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -196,7 +197,7 @@ class RatExpr:
             if other.chart != self.chart:
                 raise ValueError("expressions live on different charts")
             return other
-        if isinstance(other, (int, GaussianRational)):
+        if isinstance(other, SCALARS):
             return RatExpr.const(self.chart, other)
         return None
 
@@ -297,27 +298,10 @@ class RatExpr:
         return RatExpr._of(self.chart, *_monic(self.num.conjugate(perm),
                                                 self.den.conjugate(perm)))
 
-    def subst(self, values: list) -> "RatExpr":
-        """Evaluate with coordinate j replaced by values[j] (RatExprs on a
-        common chart)."""
-        if len(values) != self.chart.n:
-            raise ValueError("need one value per coordinate")
-        target = values[0].chart if values else self.chart
-        num = _poly_subst(self.num, values, target)
-        den = _poly_subst(self.den, values, target)
-        if den.is_zero():
-            raise ZeroDivisionError("substitution hits a pole")
-        return num / den
-
-    def eval_at(self, point: list) -> GaussianRational:
-        chart = self.chart
-        vals = [RatExpr.const(chart, c) for c in point]
-        return self.subst(vals).const_value()
-
     # -- comparison ---------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, GaussianRational)):
+        if isinstance(other, SCALARS):
             other = RatExpr.const(self.chart, other)
         if not isinstance(other, RatExpr):
             return NotImplemented
@@ -327,8 +311,6 @@ class RatExpr:
         return hash((self.chart, self.num, self.den))
 
     def __str__(self):
-        from .printing import ratexpr_str
-
         return ratexpr_str(self)
 
     def __repr__(self):
@@ -359,24 +341,3 @@ def _times(p: Poly, q: Poly) -> Poly:
     if p.is_one():
         return q
     return p * q
-
-
-def _poly_subst(p: Poly, values: list, target: Chart) -> RatExpr:
-    out = RatExpr.zero(target)
-    cache: dict = {}
-
-    def power(j: int, k: int) -> RatExpr:
-        key = (j, k)
-        got = cache.get(key)
-        if got is None:
-            got = values[j] ** k
-            cache[key] = got
-        return got
-
-    for exps, c in p.ordered_terms():
-        term = RatExpr.const(target, c)
-        for j, k in enumerate(exps):
-            if k:
-                term = term * power(j, k)
-        out = out + term
-    return out

@@ -18,8 +18,6 @@ def _frac(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
@@ -81,7 +79,7 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
-        if not isinstance(other, (GaussianRational, *_EXACT)):
+        if not isinstance(other, SCALARS):
             return NotImplemented
         return self + (-other)
 
@@ -116,7 +114,7 @@ class GaussianRational:
         return GaussianRational(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
-        if not isinstance(other, (GaussianRational, *_EXACT)):
+        if not isinstance(other, SCALARS):
             return NotImplemented
         return self * GaussianRational.coerce(other).inverse()
 
@@ -142,7 +140,7 @@ class GaussianRational:
     # -- comparison ---------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _EXACT):
             other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
             return NotImplemented
@@ -174,6 +172,10 @@ def _imag_str(b: Fraction) -> str:
         return "-i"
     return f"{b}*i"
 
+
+# The exact scalars: the operands GaussianRational arithmetic takes, and
+# the constants RatExpr and DiffForm take.
+SCALARS = (GaussianRational, *_EXACT)
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)

@@ -2,7 +2,9 @@
 from their definitions, random polynomial connections, polynomial
 coordinate changes with exact inverses, and the dense nested-list linear
 algebra the package used before its matrices became dicts of nonzero
-entries."""
+entries.  Dense tensors (`tensor_from_fn`, `to_lists`) and substitution
+into rational expressions (`subst`, `eval_at`) live here too: only the
+oracles use them."""
 
 import random
 
@@ -15,6 +17,56 @@ from poissonforms.geometry import (
     torsion,
 )
 from poissonforms.ratexpr import Chart, RatExpr
+
+
+def _nested(n, rank, fn, prefix=()):
+    """Nested lists of fn(idx) over the index tuples idx of `rank` slots,
+    each running over range(n)."""
+    if len(prefix) == rank:
+        return fn(prefix)
+    return [_nested(n, rank, fn, prefix + (i,)) for i in range(n)]
+
+
+def tensor_from_fn(chart, signature, fn):
+    """The tensor whose component at each index tuple idx is fn(idx)."""
+    return Tensor(chart, signature, _nested(chart.n, len(signature), fn))
+
+
+def to_lists(t):
+    """The components of a tensor as nested lists, zeros included."""
+    return _nested(t.chart.n, t.rank, lambda idx: t[idx])
+
+
+def subst(r, values):
+    """r with coordinate j replaced by values[j] (RatExprs on a common
+    chart); ZeroDivisionError when the denominator becomes zero."""
+    if len(values) != r.chart.n:
+        raise ValueError("need one value per coordinate")
+    target = values[0].chart if values else r.chart
+    num = _poly_subst(r.num, values, target)
+    den = _poly_subst(r.den, values, target)
+    if den.is_zero():
+        raise ZeroDivisionError("substitution hits a pole")
+    return num / den
+
+
+def eval_at(r, point):
+    """The value of r at a point given by one scalar per coordinate."""
+    return subst(r, [RatExpr.const(r.chart, c) for c in point]).const_value()
+
+
+def _poly_subst(p, values, target):
+    out = RatExpr.zero(target)
+    powers = {}
+    for exps, c in p.ordered_terms():
+        term = RatExpr.const(target, c)
+        for j, k in enumerate(exps):
+            if k:
+                if (j, k) not in powers:
+                    powers[j, k] = values[j] ** k
+                term = term * powers[j, k]
+        out = out + term
+    return out
 
 
 def darboux_p(chart):
@@ -54,7 +106,7 @@ def cyclic_curvature_torsion_residual(s):
                 val = val + T[a, x, k] * T[k, y, z]
         return val
 
-    return Tensor.from_fn(chart, coord_signature("uddd"), comp)
+    return tensor_from_fn(chart, coord_signature("uddd"), comp)
 
 
 def curvature_twist_residual(s):
@@ -76,7 +128,7 @@ def curvature_twist_residual(s):
                    - T[a, d, k] * T[k, b, c])
         return val
 
-    return Tensor.from_fn(chart, coord_signature("uddd"), comp)
+    return tensor_from_fn(chart, coord_signature("uddd"), comp)
 
 
 def flat_twist_residual(s):
@@ -84,7 +136,7 @@ def flat_twist_residual(s):
     Rt = curvature(s, "tilde")
     T = torsion(s)
     DT = covariant_derivative(T, s, "gamma")
-    return Tensor.from_fn(s.chart, coord_signature("uddd"),
+    return tensor_from_fn(s.chart, coord_signature("uddd"),
                           lambda i: Rt[i] - DT[i[1], i[0], i[2], i[3]])
 
 
@@ -144,19 +196,19 @@ class PolyChange:
         self.forward = list(forward)
         self.inverse = list(inverse)
         for j in range(old.n):
-            back = self.forward[j].subst(self.inverse)
+            back = subst(self.forward[j], self.inverse)
             if back != RatExpr.variable(new, j):
                 raise ValueError("maps do not invert each other")
-            fore = self.inverse[j].subst(self.forward)
+            fore = subst(self.inverse[j], self.forward)
             if fore != RatExpr.variable(old, j):
                 raise ValueError("maps do not invert each other")
 
     def push_scalar(self, f):
-        return f.subst(self.inverse)
+        return subst(f, self.inverse)
 
     def jac_forward(self):
         """d new^a / d old^g, written in the new coordinates."""
-        return [[self.forward[a].diff(g).subst(self.inverse)
+        return [[subst(self.forward[a].diff(g), self.inverse)
                  for g in range(self.old.n)] for a in range(self.old.n)]
 
     def jac_inverse(self):
@@ -205,7 +257,7 @@ def transform_structure(s, change):
                     if s.P[g, d].is_zero():
                         continue
                     acc = acc + J[a][g] * J[b][d] * s.P[g, d]
-            P2[a][b] = acc.subst(change.inverse)
+            P2[a][b] = subst(acc, change.inverse)
     G2 = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
         inner = [[RatExpr.zero(old) for _ in range(n)] for _ in range(n)]
@@ -215,7 +267,7 @@ def transform_structure(s, change):
                 for d in range(n):
                     acc = acc + J[a][d] * s.Gamma[d, k, l]
                 inner[k][l] = acc
-        pushed = [[inner[k][l].subst(change.inverse) for l in range(n)] for k in range(n)]
+        pushed = [[subst(inner[k][l], change.inverse) for l in range(n)] for k in range(n)]
         for b in range(n):
             for c in range(n):
                 acc = RatExpr.zero(new)
@@ -228,18 +280,14 @@ def transform_structure(s, change):
 
 def transform_tensor(t, change):
     """Push a coordinate tensor through the change slot by slot."""
-    old, new = change.old, change.new
-    n = old.n
+    new = change.new
     Jn = change.jac_forward()
     K = change.jac_inverse()
 
     def comp(idx):
         acc = RatExpr.zero(new)
-        for src in t.indices():
-            base = t[src]
-            if base.is_zero():
-                continue
-            factor = base.subst(change.inverse)
+        for src, base in t.nonzero_components():
+            factor = subst(base, change.inverse)
             for slot, (pos, _) in enumerate(t.signature):
                 mat = Jn[idx[slot]][src[slot]] if pos == "up" else K[src[slot]][idx[slot]]
                 factor = factor * mat
@@ -248,7 +296,7 @@ def transform_tensor(t, change):
             acc = acc + factor
         return acc
 
-    return Tensor.from_fn(new, t.signature, comp)
+    return tensor_from_fn(new, t.signature, comp)
 
 
 def sparse_matrix(rows):

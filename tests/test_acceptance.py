@@ -35,7 +35,7 @@ from poissonforms.scalars import GaussianRational
 from identities import (curvature_twist_residual,
                         cyclic_curvature_torsion_residual, darboux_p,
                         dense_invert, flat_twist_residual, random_connection,
-                        random_shear_change, transform_structure,
+                        random_shear_change, to_lists, transform_structure,
                         transform_tensor)
 from test_canonical import (affine_constants, cybe_violating_constants,
                             darboux_constants, entry, mixed_constants,
@@ -128,7 +128,7 @@ def test_criterion_04_frame_identities():
             assert (Rtf.get((A, B, C, D), RatExpr.zero(s.chart))
                     - RatExpr.const(s.chart, entry(c.Rt, C, D, A, B))).is_zero()
         T = torsion(s)
-        Pinv = dense_invert(s.P.to_lists())
+        Pinv = dense_invert(to_lists(s.P))
         for A, B, C in itertools.product(range(n), repeat=3):
             acc = RatExpr.zero(s.chart)
             for E, F, G in itertools.product(range(n), repeat=3):

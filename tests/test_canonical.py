@@ -24,7 +24,7 @@ from poissonforms.parsing import parse_scalar
 from poissonforms.ratexpr import Chart, RatExpr
 from poissonforms.scalars import GaussianRational
 
-from identities import dense_invert, flat_twist_residual
+from identities import dense_invert, eval_at, flat_twist_residual, to_lists
 from test_bracket import sphere_structure
 from test_constants_oracle import (dense, dense_yang_baxter_defect,
                                    dense_yang_baxter_symmetrized)
@@ -242,14 +242,14 @@ def test_build_fixture_battery(make):
                 - RatExpr.const(s.chart, entry(c.Rt, C, D, A, B))).is_zero()
     # torsion contracted into the frame equals the derivative of P
     T = torsion(s)
-    Pinv = dense_invert(s.P.to_lists())
+    Pinv = dense_invert(to_lists(s.P))
     origin = [GaussianRational(0)] * n
     for A, B, C in itertools.product(range(n), repeat=3):
         acc = RatExpr.zero(s.chart)
         for E, F, G in itertools.product(range(n), repeat=3):
             acc = acc + Pinv[A][E] * T[E, F, G] * s.P[F, B] * s.P[G, C]
         assert (acc - s.P[B, C].diff(A)).is_zero()
-        assert acc.eval_at(origin) == entry(c.f, B, C, A)
+        assert eval_at(acc, origin) == entry(c.f, B, C, A)
     # twisted curvature equals the covariant derivative of torsion
     assert flat_twist_residual(s).is_zero()
 

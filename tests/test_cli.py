@@ -128,6 +128,8 @@ def test_malformed_inputs_rejected():
     with pytest.raises(ValueError, match="pairing"):
         chart_from_dict({"coords": ["z", "zb"], "kind": "complex",
                          "pairing": {"z": "nope"}})
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        chart_from_dict({"coords": []})
     with pytest.raises(ValueError, match="dim"):
         constants_from_dict({"dim": 0})
     with pytest.raises(ValueError, match="index"):
@@ -471,6 +473,12 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
                       {"chart": {"coords": ["x", "y"], "kind": "real"},
                        "P": [["0", "1"], ["1", "0"]]})
     assert run_cli(capsys, "verify", skew)[0] == 2
+    empty = write_json(tmp_path / "empty.json",
+                       {"chart": {"coords": []}, "P": []})
+    for count in ([], ["--count", "0"]):
+        code, out, err = run_cli(capsys, "verify", empty, *count)
+        assert (code, out) == (2, "")
+        assert "at least one coordinate" in err
     assert run_cli(capsys, "nonsense")[0] == 2
     assert run_cli(capsys, "canonical", "nonsense")[0] == 2
 

@@ -307,6 +307,21 @@ def test_kahler_flat():
     assert K.ext_d().is_zero()
 
 
+def test_kahler_closedness_needs_mixed_constants():
+    """g pairs z1 with z2 and zb1 with zb2 and has no entry pairing a
+    holomorphic row with an antiholomorphic one, so K is zero and the
+    closedness laws do not apply."""
+    c = CanonicalConstants.from_entries(
+        4, g=[(0, 1, 1), (1, 0, -1), (2, 3, -1), (3, 2, 1)])
+    s, fr = build_canonical(c, product_chart())
+    K, rep = kahler_form(s, fr, plan=QUICK)
+    assert rep.passed
+    assert K.is_zero()
+    assert sorted(c.name for c in rep.checks
+                  if c.status == "not-applicable") == [
+        "eta-closed", "etabar-closed", "kahler-closed"]
+
+
 def test_kahler_user_metric_flat():
     s, fr = flat_build()
     ch = s.chart

@@ -25,7 +25,7 @@ from poissonforms.ratexpr import RatExpr
 from poissonforms.report import VerificationReport
 from poissonforms.scalars import GaussianRational
 
-from identities import dense_invert
+from identities import dense_invert, eval_at, subst
 
 ZERO = GaussianRational(0)
 
@@ -143,15 +143,15 @@ def substituted_constants(c: CanonicalConstants,
     origin = [ZERO] * n
     rt, f, g = [], [], []
     for A, B in itertools.product(range(n), repeat=2):
-        P2 = sum((RatExpr.const(chart, N[A][E] * N[B][F]) * P[E, F]
-                  for E in range(n) for F in range(n)),
-                 RatExpr.zero(chart)).subst(back)
-        g.append((A, B, P2.eval_at(origin)))
+        P2 = subst(sum((RatExpr.const(chart, N[A][E] * N[B][F]) * P[E, F]
+                        for E in range(n) for F in range(n)),
+                       RatExpr.zero(chart)), back)
+        g.append((A, B, eval_at(P2, origin)))
         for C in range(n):
             dC = P2.diff(C)
-            f.append((A, B, C, dC.eval_at(origin)))
+            f.append((A, B, C, eval_at(dC, origin)))
             for D in range(n):
-                rt.append((A, B, C, D, dC.diff(D).eval_at(origin)))
+                rt.append((A, B, C, D, eval_at(dC.diff(D), origin)))
     return CanonicalConstants.from_entries(n, rt, f, g)
 
 

@@ -38,6 +38,7 @@ def test_wedge_anticommutes_on_one_forms(ch3):
     dy = DiffForm.d_coord(ch3, "y")
     assert dx * dy == -(dy * dx)
     assert (dx * dx).is_zero()
+    assert not (dx * dx) and dx * dy
     f = parse_form("x*y", ch3)
     assert f * dx == dx * f
 

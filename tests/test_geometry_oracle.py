@@ -4,7 +4,7 @@ references.
 The laws in `geometry`, and the bracket's generator table, contract
 dicts of nonzero components.  The references below are the same laws
 written as loops over every index of the nested arrays
-`s.P.to_lists()` and `s.Gamma.to_lists()`, each law reporting its first
+`to_lists(s.P)` and `to_lists(s.Gamma)`, each law reporting its first
 nonzero component in `itertools.product` order, with inverses from the
 dense solver in `identities`.  On random connections,
 flat ones, polynomial coefficient matrices and matrices that are not
@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from poissonforms.bracket import PoissonStructure, random_scalar
 from poissonforms.canonical import build_canonical
-from poissonforms.geometry import (Metric, Tensor, _add_first_nonzero,
+from poissonforms.geometry import (Metric, _add_first_nonzero,
                                    check_integrability,
                                    connection_from_metric, coord_signature,
                                    covariant_derivative, curvature,
@@ -29,13 +29,14 @@ from poissonforms.forms import DiffForm
 from poissonforms.ratexpr import Chart, RatExpr
 from poissonforms.report import VerificationReport
 
-from identities import dense_invert, pure_gauge_connection, random_connection
+from identities import (dense_invert, pure_gauge_connection, random_connection,
+                        tensor_from_fn, to_lists)
 from test_bracket import sphere_structure
 from test_complex import product_chart, product_constants
 
 
 def dense_gamma(s, which):
-    G = s.Gamma.to_lists()
+    G = to_lists(s.Gamma)
     if which == "gamma":
         return G
     n = s.chart.n
@@ -44,8 +45,8 @@ def dense_gamma(s, which):
 
 
 def dense_torsion(s):
-    G = s.Gamma.to_lists()
-    return Tensor.from_fn(s.chart, coord_signature("udd"),
+    G = to_lists(s.Gamma)
+    return tensor_from_fn(s.chart, coord_signature("udd"),
                           lambda i: G[i[0]][i[1]][i[2]] - G[i[0]][i[2]][i[1]])
 
 
@@ -60,7 +61,7 @@ def dense_curvature(s, which):
             val = val + G[a][c][k] * G[k][d][b] - G[a][d][k] * G[k][c][b]
         return val
 
-    return Tensor.from_fn(s.chart, coord_signature("uddd"), comp)
+    return tensor_from_fn(s.chart, coord_signature("uddd"), comp)
 
 
 def dense_covariant_derivative(U, s, which):
@@ -80,12 +81,12 @@ def dense_covariant_derivative(U, s, which):
                     val = val - U[other] * G[m][d][here]
         return val
 
-    return Tensor.from_fn(s.chart, (("down", "coordinate"),) + U.signature,
+    return tensor_from_fn(s.chart, (("down", "coordinate"),) + U.signature,
                           comp)
 
 
 def dense_cyclic_jacobi(s):
-    P = s.P.to_lists()
+    P = to_lists(s.P)
     n = s.chart.n
 
     def comp(idx):
@@ -97,13 +98,13 @@ def dense_cyclic_jacobi(s):
                    + P[c][d] * P[a][b].diff(d))
         return val
 
-    return Tensor.from_fn(s.chart, coord_signature("uuu"), comp)
+    return tensor_from_fn(s.chart, coord_signature("uuu"), comp)
 
 
 def dense_transport(s):
     """W^{ab}_{kl} = P^{ag} Rt^b_{gkl}, with Rt the twisted curvature."""
     Rt = dense_curvature(s, "tilde")
-    P = s.P.to_lists()
+    P = to_lists(s.P)
     n = s.chart.n
 
     def comp(idx):
@@ -113,7 +114,7 @@ def dense_transport(s):
             val = val + P[a][g] * Rt[b, g, k, l]
         return val
 
-    return Tensor.from_fn(s.chart, coord_signature("uudd"), comp)
+    return tensor_from_fn(s.chart, coord_signature("uudd"), comp)
 
 
 def dense_check_integrability(s):
@@ -124,7 +125,7 @@ def dense_check_integrability(s):
     names = ["flatness", "poisson-parallel", "curvature-transport"]
     if chart.is_complex():
         names.append("block-diagonal")
-    if dense_invert(s.P.to_lists()) is None:
+    if dense_invert(to_lists(s.P)) is None:
         for name in names:
             rep.add_not_applicable(name)
         return rep
@@ -137,7 +138,7 @@ def dense_check_integrability(s):
     if chart.is_complex():
         n = chart.n
         holo = chart.is_holo
-        G = s.Gamma.to_lists()
+        G = to_lists(s.Gamma)
         _add_first_nonzero(rep, "block-diagonal", (
             ((a, b, c), G[a][b][c])
             for a in range(n) for b in range(n) for c in range(n)
@@ -147,9 +148,9 @@ def dense_check_integrability(s):
 
 def dense_connection_from_metric(metric, s):
     chart = s.chart
-    P = s.P.to_lists()
+    P = to_lists(s.P)
     Pinv = dense_invert(P)
-    h = metric.h.to_lists()
+    h = to_lists(metric.h)
     hi = dense_invert(h)
     n = chart.n
     half = RatExpr.const(chart, 1) / RatExpr.const(chart, 2)
@@ -175,7 +176,7 @@ def dense_connection_from_metric(metric, s):
                 total = total + Pinv[b][dl] * h[g][ep] * inner
         return half * total
 
-    return Tensor.from_fn(chart, coord_signature("udd"), comp)
+    return tensor_from_fn(chart, coord_signature("udd"), comp)
 
 
 def assert_matches_dense(s):
@@ -256,7 +257,7 @@ def test_complex_charts_match_dense_loops():
     and the four-dimensional product structure."""
     sphere = sphere_structure()
     assert_matches_dense(sphere)
-    G = sphere.Gamma.to_lists()
+    G = to_lists(sphere.Gamma)
     G[0][0][1] = RatExpr.const(sphere.chart, 1)
     assert_matches_dense(PoissonStructure(sphere.chart, sphere.P, G))
     s, _ = build_canonical(product_constants(), product_chart())
@@ -287,7 +288,7 @@ def test_connection_from_metric_matches_dense_loop(seed, constant_p):
 def dense_coord_dx(s):
     """(x^a, dx^b) = -P[a][g] Gamma[b][g][d] dx^d by loops over every
     index."""
-    P, G = s.P.to_lists(), s.Gamma.to_lists()
+    P, G = to_lists(s.P), to_lists(s.Gamma)
     n = s.chart.n
     xd = [[None] * n for _ in range(n)]
     for al in range(n):
@@ -305,7 +306,7 @@ def dense_coord_dx(s):
 
 
 def dense_bracket_scalars(s, f, g):
-    P = s.P.to_lists()
+    P = to_lists(s.P)
     n = s.chart.n
     out = RatExpr.zero(s.chart)
     df = [f.diff(j) for j in range(n)]

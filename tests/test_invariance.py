@@ -24,6 +24,8 @@ from poissonforms.parsing import parse_scalar
 from poissonforms.ratexpr import Chart, RatExpr
 from poissonforms.scalars import GaussianRational as G
 
+from identities import subst
+
 PLAN = SamplePlan(count=2)
 
 
@@ -42,7 +44,7 @@ def transform(s: PoissonStructure, N: dict) -> PoissonStructure:
     old = [x.get((j,), RatExpr.zero(chart)) for j in range(n)]
 
     def at_old(T):
-        return {idx: v.subst(old) for idx, v in T.components.items()}
+        return {idx: subst(v, old) for idx, v in T.components.items()}
 
     P = _contract("aj,jk,bk->ab", N, at_old(s.P), N)
     Gamma = _contract("bj,jge,gl,ed->bld", N, at_old(s.Gamma), M, M)

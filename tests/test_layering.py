@@ -1,6 +1,6 @@
 """The package's modules form one stack: each module imports only modules
-below it.  The sparse algebra of `linalg` sits at the bottom so that
-`forms` can sum through it without importing `geometry`."""
+below it, and only at the top of the module.  `printing` sits below
+`ratexpr` and `forms`, which import it to render themselves."""
 
 import ast
 import pathlib
@@ -8,11 +8,9 @@ import pathlib
 import poissonforms
 
 # Bottom first.
-LAYERS = ["report", "linalg", "scalars", "polynomials", "ratexpr",
-          "printing", "forms", "parsing", "geometry", "bracket", "canonical",
+LAYERS = ["report", "linalg", "scalars", "polynomials", "printing",
+          "ratexpr", "forms", "parsing", "geometry", "bracket", "canonical",
           "complexforms", "onedim", "files", "cli", "__init__"]
-# Rendering is imported inside __str__, after every module has loaded.
-LAZY = {("ratexpr", "printing"), ("forms", "printing")}
 
 SRC = pathlib.Path(poissonforms.__file__).parent
 
@@ -35,10 +33,9 @@ def _package_imports(source: str):
 
 def _upward(module: str, source: str) -> list:
     """The imports in `source`, the text of `module`, that reach its own
-    layer or one above it, other than the lazy imports allowed by name."""
+    layer or one above it, or that are made inside a function or class."""
     return [(module, target) for target, at_top in _package_imports(source)
-            if (LAYERS.index(target) >= LAYERS.index(module) if at_top
-                else (module, target) not in LAZY)]
+            if not at_top or LAYERS.index(target) >= LAYERS.index(module)]
 
 
 def test_every_module_has_a_layer():
@@ -58,4 +55,5 @@ def test_upward_imports_are_found():
         ("linalg", "forms")]
     assert _upward("forms", "def f():\n    from .bracket import x\n") == [
         ("forms", "bracket")]
-    assert _upward("forms", "def f():\n    from .printing import x\n") == []
+    assert _upward("forms", "def f():\n    from .printing import x\n") == [
+        ("forms", "printing")]

@@ -12,16 +12,25 @@ variables, on monomials and on operands with nontrivial content.  A
 RatExpr must be the same rational function as sympy's, fully reduced
 (its denominator differs from sympy's by a constant factor only) and
 have a monic denominator.
+
+Field operations and the three-variable gcd are compared in sympy's
+polynomial rings over QQ_I instead of on expressions: the result of a
+field operation is written out as an unreduced fraction of ring
+elements, and the RatExpr must equal it cross-multiplied and have
+numerator and denominator with a constant gcd.  Expression-level
+`cancel`, `expand` and `gcd` took most of these tests' time.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from poissonforms.polynomials import Poly, poly_gcd
 from poissonforms.ratexpr import Chart, RatExpr
 from poissonforms.scalars import GaussianRational
+
+from identities import eval_at, subst
 
 sympy = pytest.importorskip("sympy")
 
@@ -30,7 +39,9 @@ SYMBOLS = sympy.symbols("x y")
 COMPLEX_CHART = Chart(("z", "zb"), kind="complex", pairs=(("z", "zb"),))
 # Real symbols: sympy's conjugate then acts on the coefficients only.
 COMPLEX_SYMBOLS = sympy.symbols("z zb", real=True)
-SYMBOLS3 = sympy.symbols("x y w")
+RING = sympy.ring("x,y", sympy.QQ_I)[0]
+COMPLEX_RING = sympy.ring("z,zb", sympy.QQ_I)[0]
+RING3 = sympy.ring("x,y,w", sympy.QQ_I)[0]
 # No shrinking: each shrink step runs sympy's `cancel`, so a failing
 # example took minutes to report instead of seconds.
 NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
@@ -79,6 +90,23 @@ def _sym(r: RatExpr, symbols=SYMBOLS):
     return _sym_poly(r.num, symbols) / _sym_poly(r.den, symbols)
 
 
+def _ring_poly(p: Poly, ring):
+    return ring({exps: sympy.QQ_I(c.re, c.im) for exps, c in p.terms.items()})
+
+
+def _ring_pair(r: RatExpr, ring):
+    return _ring_poly(r.num, ring), _ring_poly(r.den, ring)
+
+
+def _assert_is_fraction(got: RatExpr, num, den, ring):
+    """`got` is num/den, for ring elements num and den, in lowest terms
+    and with a monic denominator."""
+    n, d = _ring_pair(got, ring)
+    assert n * den == num * d
+    assert n.gcd(d).is_ground
+    assert got.den.leading()[1].is_one()
+
+
 def _is_constant(expr) -> bool:
     return not sympy.cancel(expr).free_symbols
 
@@ -103,33 +131,35 @@ def _sharing_pairs(draw):
     chart, so that gcd(a.num, b.den), gcd(b.num, a.den) and
     gcd(a.den, b.den) are nontrivial unless a reduction took f, h or k
     out; any part may be a monomial."""
-    chart, symbols = draw(st.sampled_from([(CHART, SYMBOLS),
-                                           (COMPLEX_CHART, COMPLEX_SYMBOLS)]))
+    chart, ring = draw(st.sampled_from([(CHART, RING),
+                                        (COMPLEX_CHART, COMPLEX_RING)]))
     n1, n2 = draw(st.one_of(_bodies, _monomials)), draw(st.one_of(_bodies, _monomials))
     d1, d2 = draw(_parts), draw(_parts)
     f, h, k = draw(_parts), draw(_parts), draw(_parts)
     return (RatExpr(chart, n1 * f, d1 * h * k),
-            RatExpr(chart, n2 * h, d2 * f * k), symbols)
+            RatExpr(chart, n2 * h, d2 * f * k), ring)
 
 
 @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
-@given(st.one_of(st.tuples(_ratexprs(), _ratexprs(), st.just(SYMBOLS)),
+@given(st.one_of(st.tuples(_ratexprs(), _ratexprs(), st.just(RING)),
                  _sharing_pairs()))
 def test_field_operations_match_cancel(pair):
     """Sums, products, quotients and powers.  (b - a) + a cancels the
     factors of a's denominator that b's lacks: the numerator of that sum
     shares them with the denominators' gcd."""
-    a, b, symbols = pair
-    sa, sb = _sym(a, symbols), _sym(b, symbols)
-    _assert_agrees(a + b, sa + sb, symbols)
-    _assert_agrees(a - b, sa - sb, symbols)
-    _assert_agrees((b - a) + a, sb, symbols)
-    _assert_agrees(a * b, sa * sb, symbols)
+    a, b, ring = pair
+    (an, ad), (bn, bd) = _ring_pair(a, ring), _ring_pair(b, ring)
+    _assert_is_fraction(a + b, an * bd + bn * ad, ad * bd, ring)
+    _assert_is_fraction(a - b, an * bd - bn * ad, ad * bd, ring)
+    _assert_is_fraction((b - a) + a, bn, bd, ring)
+    _assert_is_fraction(a * b, an * bn, ad * bd, ring)
     if not b.is_zero():
-        _assert_agrees(a / b, sa / sb, symbols)
-    for k in (2, 3, -1, -2):
-        if k > 0 or not a.is_zero():
-            _assert_agrees(a ** k, sa ** k, symbols)
+        _assert_is_fraction(a / b, an * bd, ad * bn, ring)
+    for k in (2, 3):
+        _assert_is_fraction(a ** k, an ** k, ad ** k, ring)
+    if not a.is_zero():
+        for k in (-1, -2):
+            _assert_is_fraction(a ** k, ad ** -k, an ** -k, ring)
 
 
 @ORACLE
@@ -173,11 +203,10 @@ def test_poly_gcd_and_divexact_in_three_variables(p, q, c, content):
             continue
         g = poly_gcd(p, q)
         assert g.leading()[1].is_one()
-        sg = _sym_poly(g, SYMBOLS3)
-        assert _is_constant(sg / sympy.gcd(_sym_poly(p, SYMBOLS3), _sym_poly(q, SYMBOLS3)))
-        for f in (p, q):
-            quot = f.divexact(g)
-            assert sympy.expand(_sym_poly(quot, SYMBOLS3) * sg - _sym_poly(f, SYMBOLS3)) == 0
+        rp, rq, rg = (_ring_poly(f, RING3) for f in (p, q, g))
+        assert rg.monic() == rp.gcd(rq).monic()
+        for f, rf in ((p, rp), (q, rq)):
+            assert _ring_poly(f.divexact(g), RING3) * rg == rf
 
 
 @ORACLE
@@ -216,9 +245,9 @@ def test_subst_matches_sympy(a, u, v):
     su, sv = _sym(u), _sym(v)
     if sympy.cancel(_subs(_sym_poly(a.den), su, sv)) == 0:
         with pytest.raises(ZeroDivisionError):
-            a.subst([u, v])
+            subst(a, [u, v])
     else:
-        _assert_agrees(a.subst([u, v]), _subs(_sym(a), su, sv))
+        _assert_agrees(subst(a, [u, v]), _subs(_sym(a), su, sv))
 
 
 @ORACLE
@@ -227,21 +256,29 @@ def test_eval_at_matches_sympy(a, p, q):
     sp, sq = _sym_scalar(p), _sym_scalar(q)
     if sympy.expand(_subs(_sym_poly(a.den), sp, sq)) == 0:
         with pytest.raises(ZeroDivisionError):
-            a.eval_at([p, q])
+            eval_at(a, [p, q])
     else:
         want = _subs(_sym(a), sp, sq)
-        assert sympy.expand(_sym_scalar(a.eval_at([p, q])) - want) == 0
+        assert sympy.expand(_sym_scalar(eval_at(a, [p, q])) - want) == 0
 
 
 @ORACLE
 @given(_bodies, _factors, _coeffs, _coeffs, _values)
+# The numerator cancels x - p and leaves the denominator y, which
+# vanishes at (p, q) = (0, 0) but not on the line x = 0.
+@example(Poly(2, {(1, 0): GaussianRational(-2, -1), (1, 1): GaussianRational(1, -2)}),
+         Poly(2, {(0, 1): GaussianRational(0, 2)}),
+         GaussianRational(0), GaussianRational(0),
+         RatExpr(CHART, Poly(2, {(1, 0): GaussianRational(Fraction(-27, 20),
+                                                          Fraction(-21, 20))})))
 def test_subst_and_eval_at_a_pole(num, other, p, q, v):
-    """With a denominator divisible by x - p, x = p is a pole whatever y
-    is, unless the numerator cancels that factor."""
+    """With a reduced denominator that vanishes on the whole line x = p,
+    as x - p does unless the numerator cancels it, x = p is a pole
+    whatever y is."""
     a = RatExpr(CHART, num, (Poly.variable(2, 0) - Poly.const(2, p)) * other)
-    sp, sq = _sym_scalar(p), _sym_scalar(q)
-    assume(sympy.expand(_subs(_sym_poly(a.den), sp, sq)) == 0)
+    sp = _sym_scalar(p)
+    assume(sympy.expand(_sym_poly(a.den).subs(SYMBOLS[0], sp)) == 0)
     with pytest.raises(ZeroDivisionError):
-        a.eval_at([p, q])
+        eval_at(a, [p, q])
     with pytest.raises(ZeroDivisionError):
-        a.subst([RatExpr.const(CHART, p), v])
+        subst(a, [RatExpr.const(CHART, p), v])

@@ -20,6 +20,7 @@ def test_ring_basics():
     assert p.total_degree() == 2
     assert p.degree_in(0) == 2 and p.degree_in(1) == 1
     assert (p - p).is_zero()
+    assert not (p - p) and p
     assert p * Poly.zero(2) == Poly.zero(2)
     assert (x + y) * (x - y) == x * x - y * y
 

@@ -31,20 +31,25 @@ def test_field_arithmetic():
 
 
 def test_mixed_arithmetic_defers_to_the_other_operand():
-    """A scalar on the left of an expression or a form gives the same
-    result as on the right; other operands raise a TypeError that names
-    them."""
+    """An exact scalar, a GaussianRational or a Fraction, equals the
+    constant expression and form it stands for, and on the left of an
+    expression or a form gives the same result as on the right; other
+    operands raise a TypeError that names them."""
     ch = Chart(("x",))
-    a = GaussianRational(2, 1)
     x = RatExpr.variable(ch, 0)
-    assert a * x == x * a
-    assert a + x == x + a
-    assert a - x == -(x - a)
-    assert a / x == RatExpr.const(ch, a) / x
     w = DiffForm.d_coord(ch, 0)
-    assert a * w == w * a
-    assert a + w == w + a
-    assert a - w == -(w - a)
+    for a in (GaussianRational(2, 1), Fraction(1, 2)):
+        assert RatExpr.const(ch, a) == a and a == RatExpr.const(ch, a)
+        assert DiffForm.const(ch, a) == a and a == DiffForm.const(ch, a)
+        assert a * x == x * a
+        assert a + x == x + a
+        assert a - x == -(x - a)
+        assert a / x == RatExpr.const(ch, a) / x
+        assert x / a == x * RatExpr.const(ch, a) ** -1
+        assert a * w == w * a == w.scale(a)
+        assert a + w == w + a
+        assert a - w == -(w - a)
+    a = GaussianRational(2, 1)
     for op in (lambda: a / w, lambda: a * "x", lambda: "x" - a,
                lambda: a + 0.5, lambda: 0.5 / x, lambda: w.scale(0.5)):
         with pytest.raises(TypeError) as err:
