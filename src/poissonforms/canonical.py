@@ -27,15 +27,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from .bracket import PoissonStructure, SamplePlan, random_scalar, random_form
+from .bracket import PoissonStructure, SamplePlan, _samples, random_scalar
 from .forms import DiffForm, _signed_sum
-from .geometry import (COORD, FRAME, Tensor, _add_first_nonzero, _as_tensor,
-                       _component, _gradient, _read_array, coord_signature,
-                       curvature)
+from .geometry import (COORD, FRAME, Tensor, _as_tensor, _gradient,
+                       _read_array, coord_signature, curvature)
 from .linalg import _accumulate, _contract, _sum, invert_matrix, solve
 from .polynomials import Poly
 from .ratexpr import Chart, RatExpr
-from .report import VerificationReport
+from .report import VerificationReport, component
 from .scalars import GaussianRational
 
 
@@ -148,14 +147,14 @@ def check_constants(c: CanonicalConstants) -> VerificationReport:
     bad = min(itertools.chain(((i, 0, "antisymmetry") for i in anti),
                               ((i, 1, "symmetry") for i in sym)), default=None)
     rep.add("rt-index-symmetry", bad is None, "0" if bad is None else bad[2],
-            "" if bad is None else _component(bad[0]))
+            "" if bad is None else component(bad[0]))
 
     for name, T, specs in (("f-index-symmetry", f, ("abc->abc", "bac->abc")),
                            ("g-index-symmetry", g, ("ab->ab", "ba->ab"))):
         res = _sum((1, spec, [T]) for spec in specs)
         bad = min(res, default=None)
         rep.add(name, bad is None, "" if bad is None else str(res[bad]),
-                "" if bad is None else _component(bad))
+                "" if bad is None else component(bad))
 
     def cyclic(*terms):
         """The terms once for each cyclic shift XYZ of the letters abc."""
@@ -174,7 +173,7 @@ def check_constants(c: CanonicalConstants) -> VerificationReport:
             ("jacobi-linear", cyclic((1, "XYed,Ze->abcd", [Rt, g]),
                                      (1, "XYe,Zed->abcd", [f, f]))),
             ("jacobi-constant", cyclic((1, "XYd,Zd->abc", [f, g])))):
-        _add_first_nonzero(rep, name, sorted(law.items()))
+        rep.add_first_nonzero(name, sorted(law.items()))
     return rep
 
 
@@ -300,17 +299,17 @@ def e_basis(s: PoissonStructure, fr: Frame):
     rep = VerificationReport()
     for A in range(n):
         for a in range(n):
-            got = s.bracket(es[A], DiffForm.coord(chart, a))
-            rep.add("frame-kills-functions", got.is_zero(), str(got),
-                    f"(e_{A},{chart.names[a]})")
+            rep.add_residual("frame-kills-functions",
+                             s.bracket(es[A], DiffForm.coord(chart, a)),
+                             f"(e_{A},{chart.names[a]})")
     Rtf = frame_curvature(s, fr)
     half = RatExpr.const(chart, Fraction(1, 2))
     for A, B in itertools.product(range(n), repeat=2):
         want = fr.two_form({(C, D): v for (A2, B2, C, D), v in Rtf.items()
                             if (A2, B2) == (A, B)})
-        diff = s.bracket(es[A], es[B]) - want.scale(-half)
-        rep.add("frame-bracket-constants", diff.is_zero(), str(diff),
-                f"(e_{A},e_{B})")
+        rep.add_residual("frame-bracket-constants",
+                         s.bracket(es[A], es[B]) - want.scale(-half),
+                         f"(e_{A},e_{B})")
     return es, rep
 
 
@@ -370,8 +369,7 @@ def _check_realizations(rep: VerificationReport, s: PoissonStructure,
 
     def check(w, kind, loc):
         for omega, D, names in cases:
-            diff = s.bracket(omega, w) - D(w)
-            rep.add(names[kind], diff.is_zero(), str(diff), loc)
+            rep.add_residual(names[kind], s.bracket(omega, w) - D(w), loc)
 
     for a in range(chart.n):
         check(DiffForm.coord(chart, a), 0, f"coordinate {chart.names[a]}")
@@ -379,9 +377,8 @@ def _check_realizations(rep: VerificationReport, s: PoissonStructure,
         w = DiffForm.from_scalar(random_scalar(chart, rng, plan.degree))
         check(w, 1, f"sample {k}")
     if on_forms:
-        for k in range(plan.count):
-            deg = rng.randrange(0, min(chart.n, 2) + 1)
-            check(random_form(chart, rng, plan.degree, deg), 2, f"sample {k}")
+        for k, ((w, _),) in enumerate(_samples(chart, rng, plan, 1)):
+            check(w, 2, f"sample {k}")
 
 
 def xi_realization(s: PoissonStructure, fr: Frame, plan: SamplePlan | None = None):
@@ -412,13 +409,12 @@ def xi_realization(s: PoissonStructure, fr: Frame, plan: SamplePlan | None = Non
     for a in range(n):
         want = sum((fe[C].scale(-(half * fr.M[a, C])) for C in range(n)),
                    DiffForm.zero(chart))
-        diff = s.bracket(xi, DiffForm.d_coord(chart, a)) - want
-        rep.add("xi-on-differentials", diff.is_zero(), str(diff),
-                f"differential d[{chart.names[a]}]")
+        rep.add_residual("xi-on-differentials",
+                         s.bracket(xi, DiffForm.d_coord(chart, a)) - want,
+                         f"differential d[{chart.names[a]}]")
     want = sum((fe[C].scale(half * fr.Phi[C]) for C in range(n)),
                fr.two_form(cons.g))
-    diff = xi.ext_d() - want
-    rep.add("xi-derivative", diff.is_zero(), str(diff), "")
+    rep.add_residual("xi-derivative", xi.ext_d() - want)
     return xi, rep
 
 

@@ -14,16 +14,15 @@ from __future__ import annotations
 import itertools
 import random
 
-from .bracket import (PoissonStructure, SamplePlan, _generators,
-                      _split_pair_checks, random_form)
+from .bracket import (PoissonStructure, SamplePlan, _generators, _samples,
+                      _split_pair_checks)
 from .canonical import Frame, _check_realizations, _quadratic_constants
 from .forms import DiffForm
-from .geometry import (Tensor, _add_first_nonzero, _component, _read_array,
-                       coord_signature, covariant_derivative,
-                       off_block_components)
+from .geometry import (Tensor, _read_array, coord_signature,
+                       covariant_derivative, off_block_components)
 from .linalg import _accumulate, _sum, det_matrix
 from .ratexpr import Chart, RatExpr
-from .report import VerificationReport
+from .report import VerificationReport, component
 from .scalars import GaussianRational
 
 
@@ -67,7 +66,7 @@ def verify_complex_axioms(s: PoissonStructure,
 
     bad = off_block_components(s)
     for idx, v in bad:
-        rep.add("connection-block-diagonal", False, str(v), _component(idx))
+        rep.add("connection-block-diagonal", False, str(v), component(idx))
     if not bad:
         rep.add("connection-block-diagonal", True)
 
@@ -76,16 +75,9 @@ def verify_complex_axioms(s: PoissonStructure,
                            ("delta-leibniz", "deltabar-leibniz",
                             "hermiticity", "bidegree-additivity"))
 
-    gens = _generators(s)
-    for f, pf, nf in gens:
-        for g, _, ng in gens:
-            pair(f, pf, g, f"generators ({nf},{ng})")
-    max_fd = min(n, 2)
-    for k in range(plan.count):
-        pf = rng.randint(0, max_fd)
-        pg = rng.randint(0, max_fd)
-        f = random_form(chart, rng, plan.degree, pf)
-        g = random_form(chart, rng, plan.degree, pg)
+    for (f, pf, nf), (g, _, ng) in itertools.product(_generators(s), repeat=2):
+        pair(f, pf, g, f"generators ({nf},{ng})")
+    for k, ((f, pf), (g, _)) in enumerate(_samples(chart, rng, plan, 2)):
         pair(f, pf, g, f"sample={k}")
 
     cons = _quadratic_constants(s)
@@ -106,12 +98,12 @@ def verify_complex_axioms(s: PoissonStructure,
     conj = _accumulate(itertools.chain(
         ((idx, v.conjugate()) for idx, v in Rt.items()),
         ((tuple(pr[j] for j in idx), v) for idx, v in Rt.items())))
-    _add_first_nonzero(rep, "curvature-conjugation", sorted(conj.items()))
+    rep.add_first_nonzero("curvature-conjugation", sorted(conj.items()))
 
     def antiholo(js):
         return sum(1 for j in js if not chart.is_holo(j))
 
-    _add_first_nonzero(rep, "curvature-vanishing-pattern", sorted(
+    rep.add_first_nonzero("curvature-vanishing-pattern", sorted(
         (idx, v) for idx, v in Rt.items()
         if antiholo(idx[:2]) != antiholo(idx[2:])))
     return rep
@@ -135,12 +127,9 @@ def eta_forms(s: PoissonStructure, fr: Frame, plan: SamplePlan | None = None):
     etabar = fr.potential_form(anti_rows)
 
     rep = VerificationReport()
-    diff = eta - eta.bidegree_part(1, 0)
-    rep.add("eta-bidegree", diff.is_zero(), str(diff))
-    diff = etabar - etabar.bidegree_part(0, 1)
-    rep.add("etabar-bidegree", diff.is_zero(), str(diff))
-    diff = eta.star() + etabar
-    rep.add("eta-conjugation", diff.is_zero(), str(diff))
+    rep.add_residual("eta-bidegree", eta - eta.bidegree_part(1, 0))
+    rep.add_residual("etabar-bidegree", etabar - etabar.bidegree_part(0, 1))
+    rep.add_residual("eta-conjugation", eta.star() + etabar)
 
     on_forms = not cons.f
     _check_realizations(rep, s, plan or SamplePlan(), [
@@ -160,9 +149,9 @@ def _check_central_on_differentials(rep: VerificationReport,
     """(K, dx^a) = 0 for every coordinate differential."""
     chart = s.chart
     for a in range(chart.n):
-        diff = s.bracket(K, DiffForm.d_coord(chart, a))
-        rep.add("kahler-central-forms", diff.is_zero(), str(diff),
-                f"differential d[{chart.names[a]}]")
+        rep.add_residual("kahler-central-forms",
+                         s.bracket(K, DiffForm.d_coord(chart, a)),
+                         f"differential d[{chart.names[a]}]")
 
 
 def kahler_form(s: PoissonStructure, fr: Frame, h=None,
@@ -212,28 +201,24 @@ def kahler_form(s: PoissonStructure, fr: Frame, h=None,
         eta = fr.potential_form(holo_rows)
         etabar = fr.potential_form(anti_rows)
         K = eta.d_antiholo()
-        diff = K - frameK
-        rep.add("kahler-from-frame", diff.is_zero(), str(diff))
-        diff = K - etabar.d_holo()
-        rep.add("kahler-alternate", diff.is_zero(), str(diff))
+        rep.add_residual("kahler-from-frame", K - frameK)
+        rep.add_residual("kahler-alternate", K - etabar.d_holo())
 
         for name, d, rows in (
                 ("delta-eta-frame", eta.d_holo, holo_rows),
                 ("deltabar-etabar-frame", etabar.d_antiholo, anti_rows)):
-            diff = d() - fr.two_form({(A, B): v for (A, B), v in cons.g.items()
-                                      if A in rows and B in rows})
-            rep.add(name, diff.is_zero(), str(diff))
+            rep.add_residual(name, d() - fr.two_form(
+                {(A, B): v for (A, B), v in cons.g.items()
+                 if A in rows and B in rows}))
 
         unmixed = not any((A in holo_rows) == (B in holo_rows)
                           for A, B in cons.g)
         if unmixed:
-            rep.add("eta-closed", eta.d_holo().is_zero(), str(eta.d_holo()))
-            rep.add("etabar-closed", etabar.d_antiholo().is_zero(),
-                    str(etabar.d_antiholo()))
-            rep.add("kahler-closed", K.d_holo().is_zero(), str(K.d_holo()),
-                    "holomorphic")
-            rep.add("kahler-closed", K.d_antiholo().is_zero(),
-                    str(K.d_antiholo()), "antiholomorphic")
+            rep.add_residual("eta-closed", eta.d_holo())
+            rep.add_residual("etabar-closed", etabar.d_antiholo())
+            rep.add_residual("kahler-closed", K.d_holo(), "holomorphic")
+            rep.add_residual("kahler-closed", K.d_antiholo(),
+                             "antiholomorphic")
         else:
             rep.add_not_applicable("eta-closed")
             rep.add_not_applicable("etabar-closed")
@@ -243,10 +228,8 @@ def kahler_form(s: PoissonStructure, fr: Frame, h=None,
     else:
         K = frameK
 
-    diff = K - K.bidegree_part(1, 1)
-    rep.add("kahler-bidegree", diff.is_zero(), str(diff))
-    diff = K.star() - K
-    rep.add("kahler-star", diff.is_zero(), str(diff))
+    rep.add_residual("kahler-bidegree", K - K.bidegree_part(1, 1))
+    rep.add_residual("kahler-star", K.star() - K)
 
     central = "kahler-central-functions"
     _check_realizations(rep, s, plan or SamplePlan(), [

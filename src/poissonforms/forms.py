@@ -234,19 +234,20 @@ class DiffForm:
 
     # -- bidegree (complex charts) -------------------------------------
 
+    def bidegrees(self) -> set:
+        """The (p, q) holomorphic and antiholomorphic factor counts of the
+        terms, as degrees() gives their degrees."""
+        holo = self.chart.holo
+        return {(p := sum(1 for j in idxs if j in holo), len(idxs) - p)
+                for idxs in self.parts}
+
     def bidegree(self):
         """(p, q) for a form homogeneous in holomorphic and antiholomorphic
         factor counts; raises when mixed."""
-        holo = self.chart.holo
-        seen = set()
-        for idxs in self.parts:
-            p = sum(1 for j in idxs if j in holo)
-            seen.add((p, len(idxs) - p))
-        if not seen:
-            return (0, 0)
+        seen = self.bidegrees()
         if len(seen) > 1:
             raise ValueError("form has mixed bidegree")
-        return seen.pop()
+        return seen.pop() if seen else (0, 0)
 
     def bidegree_part(self, p: int, q: int) -> "DiffForm":
         holo = self.chart.holo

@@ -12,7 +12,8 @@ index c, as in the bracket module, and a gradient appends the direction
 of the derivative as the last index.  Nested arrays are read only at the
 boundary, by `_read_array` (the `Tensor` constructor uses it), and
 written by `to_strings`.  Every law is a sparse contraction of `linalg`
-or a sum of a few.
+or a sum of a few.  How a law becomes a check (the first nonzero
+component, its location) is `report`'s.
 """
 
 from __future__ import annotations
@@ -214,20 +215,6 @@ def covariant_derivative(U: Tensor, s: PoissonStructure, which: str = "gamma") -
     return Tensor._of(s.chart, (("down", COORD),) + U.signature, _sum(terms))
 
 
-def _component(idx) -> str:
-    return "component (" + ",".join(map(str, idx)) + ")"
-
-
-def _add_first_nonzero(rep: VerificationReport, name: str, components):
-    """Pass, or fail at the first (index, value) pair of `components`
-    whose value is nonzero; later pairs are not computed."""
-    bad = next(((idx, v) for idx, v in components if not v.is_zero()), None)
-    if bad is None:
-        rep.add(name, True)
-    else:
-        rep.add(name, False, str(bad[1]), _component(bad[0]))
-
-
 def off_block_components(s: PoissonStructure) -> list:
     """The nonzero Gamma[a, b, c] that couple a holomorphic index with an
     antiholomorphic one, as ((a, b, c), value) pairs in index order."""
@@ -251,8 +238,8 @@ def check_integrability(s: PoissonStructure) -> VerificationReport:
     function-level Jacobi condition applies."""
     rep = VerificationReport()
     chart = s.chart
-    _add_first_nonzero(rep, "jacobi-cyclic",
-                       cyclic_jacobi(s).nonzero_components())
+    rep.add_first_nonzero("jacobi-cyclic",
+                          cyclic_jacobi(s).nonzero_components())
 
     invertible = invert_matrix(s.P.components, chart.n) is not None
     names = ["flatness", "poisson-parallel", "curvature-transport"]
@@ -263,19 +250,19 @@ def check_integrability(s: PoissonStructure) -> VerificationReport:
             rep.add_not_applicable(name)
         return rep
 
-    _add_first_nonzero(rep, "flatness",
-                       curvature(s, "gamma").nonzero_components())
-    _add_first_nonzero(rep, "poisson-parallel", covariant_derivative(
+    rep.add_first_nonzero("flatness",
+                          curvature(s, "gamma").nonzero_components())
+    rep.add_first_nonzero("poisson-parallel", covariant_derivative(
         s.P, s, "tilde").nonzero_components())
 
     # W^{ab}_{kl} = P^{ag} Rt^b_{gkl}, with Rt the twisted curvature
     W = Tensor._of(chart, coord_signature("uudd"), _contract(
         "ag,bgkl->abkl", s.P.components, curvature(s, "tilde").components))
-    _add_first_nonzero(rep, "curvature-transport",
-                       covariant_derivative(W, s, "gamma").nonzero_components())
+    rep.add_first_nonzero("curvature-transport", covariant_derivative(
+        W, s, "gamma").nonzero_components())
 
     if chart.is_complex():
-        _add_first_nonzero(rep, "block-diagonal", off_block_components(s))
+        rep.add_first_nonzero("block-diagonal", off_block_components(s))
     return rep
 
 

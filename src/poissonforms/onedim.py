@@ -226,18 +226,16 @@ def eta_kahler(t: HermitianTriple, plan: SamplePlan | None = None):
 
     P = p_scalar(t)
     want = DiffForm(chart, {(0, 1): RatExpr.one(chart) / (P * P)})
-    diff = K - want
-    rep.add("kahler-metric-coefficient", diff.is_zero(), str(diff))
+    rep.add_residual("kahler-metric-coefficient", K - want)
 
     _check_central_on_differentials(rep, s, K)
 
     if t.b.is_zero():
         Kdef, rep3 = kahler_form(s, fr, plan=plan)
         rep.extend(rep3)
-        diff = eta.d_antiholo() - K.scale(RatExpr.const(chart, t.c))
-        rep.add("kahler-eta-derivative", diff.is_zero(), str(diff))
-        diff = Kdef - K.scale(RatExpr.const(chart, t.c))
-        rep.add("kahler-default-coefficient", diff.is_zero(), str(diff))
+        cK = K.scale(RatExpr.const(chart, t.c))
+        rep.add_residual("kahler-eta-derivative", eta.d_antiholo() - cK)
+        rep.add_residual("kahler-default-coefficient", Kdef - cK)
     else:
         rep.add_not_applicable("kahler-eta-derivative")
         rep.add_not_applicable("kahler-default-coefficient")

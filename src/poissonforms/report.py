@@ -2,9 +2,20 @@
 
 Reports render deterministically: checks sort by (name, location) and the
 same inputs always produce byte-identical text and JSON.
+
+This module owns how a law becomes a check.  A law whose residual must
+vanish is recorded by `add_residual`, which keeps `str(residual)` as the
+witness; a law over indexed components fails at its first nonzero one,
+by `add_first_nonzero`, located by `component`.  The law modules only
+compute residuals.
 """
 
 from __future__ import annotations
+
+
+def component(idx) -> str:
+    """The location of the component at index tuple idx."""
+    return "component (" + ",".join(map(str, idx)) + ")"
 
 
 class Check:
@@ -58,6 +69,21 @@ class VerificationReport:
 
     def add(self, name: str, ok: bool, residual: str = "0", location: str = ""):
         self.checks.append(Check(name, ok, residual, location))
+
+    def add_residual(self, name: str, residual, location: str = ""):
+        """The law holds when the residual, an expression or form, is
+        zero; the check keeps its text either way."""
+        self.add(name, residual.is_zero(), residual=str(residual),
+                 location=location)
+
+    def add_first_nonzero(self, name: str, components):
+        """Pass, or fail at the first (index, value) pair of `components`
+        whose value is nonzero; later pairs are not computed."""
+        bad = next(((idx, v) for idx, v in components if not v.is_zero()), None)
+        if bad is None:
+            self.add(name, True)
+        else:
+            self.add(name, False, str(bad[1]), component(bad[0]))
 
     def add_not_applicable(self, name: str):
         self.checks.append(Check.not_applicable(name))

@@ -20,9 +20,8 @@ from hypothesis import assume, given, settings, strategies as st
 from poissonforms.canonical import (CanonicalConstants, CanonicalTransform,
                                     canonical_chart, check_constants,
                                     poisson_matrix, transform_constants)
-from poissonforms.geometry import _add_first_nonzero, _component
 from poissonforms.ratexpr import RatExpr
-from poissonforms.report import VerificationReport
+from poissonforms.report import VerificationReport, component
 from poissonforms.scalars import GaussianRational
 
 from identities import dense_invert, eval_at, subst
@@ -38,14 +37,21 @@ def dense(T: dict, dim: int, rank: int):
             for i in range(dim)]
 
 
-def dense_yang_baxter_defect(Rt, n, A, B, C, D, E, F):
+def _sum_of_products(terms):
+    """The sum of k * x * y over the terms (k, x, y); a product with a
+    zero factor is skipped, not multiplied."""
     acc = ZERO
-    for K in range(n):
-        acc = (acc
-               + Rt[A][B][K][E] * Rt[K][C][D][F] - Rt[A][C][K][F] * Rt[K][B][D][E]
-               + Rt[A][B][D][K] * Rt[K][C][E][F] - Rt[A][K][D][E] * Rt[B][C][K][F]
-               + Rt[A][C][D][K] * Rt[B][K][E][F] - Rt[A][K][D][F] * Rt[B][C][E][K])
+    for k, x, y in terms:
+        if x and y:
+            acc = acc + k * (x * y)
     return acc
+
+
+def dense_yang_baxter_defect(Rt, n, A, B, C, D, E, F):
+    return _sum_of_products(term for K in range(n) for term in (
+        (1, Rt[A][B][K][E], Rt[K][C][D][F]), (-1, Rt[A][C][K][F], Rt[K][B][D][E]),
+        (1, Rt[A][B][D][K], Rt[K][C][E][F]), (-1, Rt[A][K][D][E], Rt[B][C][K][F]),
+        (1, Rt[A][C][D][K], Rt[B][K][E][F]), (-1, Rt[A][K][D][F], Rt[B][C][E][K])))
 
 
 def dense_yang_baxter_symmetrized(Rt, n, A, B, C, D, E, F):
@@ -72,56 +78,51 @@ def dense_check_constants(c: CanonicalConstants) -> VerificationReport:
                                   ("symmetry", Rt[A][B][D][C]))
                 if Rt[A][B][C][D] != want), None)
     rep.add("rt-index-symmetry", bad is None, "0" if bad is None else bad[0],
-            "" if bad is None else _component(bad[1]))
+            "" if bad is None else component(bad[1]))
 
     bad = next(((A, B, C) for A in range(n) for B in range(n) for C in range(n)
                 if f[A][B][C] != -f[B][A][C]), None)
     rep.add("f-index-symmetry", bad is None,
             "" if bad is None else str(f[bad[0]][bad[1]][bad[2]] + f[bad[1]][bad[0]][bad[2]]),
-            "" if bad is None else _component(bad))
+            "" if bad is None else component(bad))
 
     bad = next(((A, B) for A in range(n) for B in range(n)
                 if g[A][B] != -g[B][A]), None)
     rep.add("g-index-symmetry", bad is None,
             "" if bad is None else str(g[bad[0]][bad[1]] + g[bad[1]][bad[0]]),
-            "" if bad is None else _component(bad))
+            "" if bad is None else component(bad))
 
-    _add_first_nonzero(rep, "yang-baxter", (
+    rep.add_first_nonzero("yang-baxter", (
         (ABC + DEF, dense_yang_baxter_symmetrized(Rt, n, *ABC, *DEF))
         for ABC in itertools.product(range(n), repeat=3)
         for DEF in itertools.combinations_with_replacement(range(n), 3)))
 
     def quad(idx):
         A, B, C, D, E = idx
-        acc = ZERO
-        for X, Y, Z in _cyc(A, B, C):
-            for F in range(n):
-                acc = acc + 2 * Rt[X][Y][F][D] * f[Z][F][E] + f[X][Y][F] * Rt[Z][F][D][E]
-        return acc
+        return _sum_of_products(
+            term for X, Y, Z in _cyc(A, B, C) for F in range(n)
+            for term in ((2, Rt[X][Y][F][D], f[Z][F][E]),
+                         (1, f[X][Y][F], Rt[Z][F][D][E])))
 
-    _add_first_nonzero(rep, "jacobi-quadratic", (
+    rep.add_first_nonzero("jacobi-quadratic", (
         (i, quad(i)) for i in itertools.product(range(n), repeat=5)))
 
     def lin(idx):
         A, B, C, D = idx
-        acc = ZERO
-        for X, Y, Z in _cyc(A, B, C):
-            for E in range(n):
-                acc = acc + Rt[X][Y][E][D] * g[Z][E] + f[X][Y][E] * f[Z][E][D]
-        return acc
+        return _sum_of_products(
+            term for X, Y, Z in _cyc(A, B, C) for E in range(n)
+            for term in ((1, Rt[X][Y][E][D], g[Z][E]),
+                         (1, f[X][Y][E], f[Z][E][D])))
 
-    _add_first_nonzero(rep, "jacobi-linear", (
+    rep.add_first_nonzero("jacobi-linear", (
         (i, lin(i)) for i in itertools.product(range(n), repeat=4)))
 
     def const(idx):
         A, B, C = idx
-        acc = ZERO
-        for X, Y, Z in _cyc(A, B, C):
-            for D in range(n):
-                acc = acc + f[X][Y][D] * g[Z][D]
-        return acc
+        return _sum_of_products((1, f[X][Y][D], g[Z][D])
+                                for X, Y, Z in _cyc(A, B, C) for D in range(n))
 
-    _add_first_nonzero(rep, "jacobi-constant", (
+    rep.add_first_nonzero("jacobi-constant", (
         (i, const(i)) for i in itertools.product(range(n), repeat=3)))
     return rep
 

@@ -100,6 +100,12 @@ def test_bidegree(czx):
     with pytest.raises(ValueError):
         mixed.bidegree()
     assert mixed.bidegree_part(1, 0) == parse_form("d[z]", czx)
+    assert w.bidegrees() == {(1, 1)}
+    assert mixed.bidegrees() == {(1, 0), (0, 1)}
+    assert parse_form("zb + z*d[z]^d[zb] + d[zb]", czx).bidegrees() == {
+        (0, 0), (1, 1), (0, 1)}
+    assert DiffForm.zero(czx).bidegrees() == set()
+    assert DiffForm.zero(czx).bidegree() == (0, 0)
 
 
 def test_wedge_sign_example(ch3):

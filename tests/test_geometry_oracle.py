@@ -20,8 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from poissonforms.bracket import PoissonStructure, random_scalar
 from poissonforms.canonical import build_canonical
-from poissonforms.geometry import (Metric, _add_first_nonzero,
-                                   check_integrability,
+from poissonforms.geometry import (Metric, check_integrability,
                                    connection_from_metric, coord_signature,
                                    covariant_derivative, curvature,
                                    cyclic_jacobi, torsion)
@@ -120,8 +119,8 @@ def dense_transport(s):
 def dense_check_integrability(s):
     rep = VerificationReport()
     chart = s.chart
-    _add_first_nonzero(rep, "jacobi-cyclic",
-                       dense_cyclic_jacobi(s).nonzero_components())
+    rep.add_first_nonzero("jacobi-cyclic",
+                          dense_cyclic_jacobi(s).nonzero_components())
     names = ["flatness", "poisson-parallel", "curvature-transport"]
     if chart.is_complex():
         names.append("block-diagonal")
@@ -129,17 +128,17 @@ def dense_check_integrability(s):
         for name in names:
             rep.add_not_applicable(name)
         return rep
-    _add_first_nonzero(rep, "flatness",
-                       dense_curvature(s, "gamma").nonzero_components())
-    _add_first_nonzero(rep, "poisson-parallel", dense_covariant_derivative(
+    rep.add_first_nonzero("flatness",
+                          dense_curvature(s, "gamma").nonzero_components())
+    rep.add_first_nonzero("poisson-parallel", dense_covariant_derivative(
         s.P, s, "tilde").nonzero_components())
-    _add_first_nonzero(rep, "curvature-transport", dense_covariant_derivative(
+    rep.add_first_nonzero("curvature-transport", dense_covariant_derivative(
         dense_transport(s), s, "gamma").nonzero_components())
     if chart.is_complex():
         n = chart.n
         holo = chart.is_holo
         G = to_lists(s.Gamma)
-        _add_first_nonzero(rep, "block-diagonal", (
+        rep.add_first_nonzero("block-diagonal", (
             ((a, b, c), G[a][b][c])
             for a in range(n) for b in range(n) for c in range(n)
             if holo(a) != holo(c)))

@@ -1,6 +1,8 @@
 """The package's modules form one stack: each module imports only modules
 below it, and only at the top of the module.  `printing` sits below
-`ratexpr` and `forms`, which import it to render themselves."""
+`ratexpr` and `forms`, which import it to render themselves.  Every name
+a module imports is used in it; `__init__` imports names to export
+them."""
 
 import ast
 import pathlib
@@ -38,6 +40,20 @@ def _upward(module: str, source: str) -> list:
             if not at_top or LAYERS.index(target) >= LAYERS.index(module)]
 
 
+def _unused_imports(source: str) -> list:
+    """The names bound by the top-level imports of `source` that no
+    expression in it reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
 def test_every_module_has_a_layer():
     assert sorted(p.stem for p in SRC.glob("*.py")) == sorted(LAYERS)
 
@@ -57,3 +73,18 @@ def test_upward_imports_are_found():
         ("forms", "bracket")]
     assert _upward("forms", "def f():\n    from .printing import x\n") == [
         ("forms", "printing")]
+
+
+def test_every_imported_name_is_used():
+    assert [(module, name) for module in LAYERS if module != "__init__"
+            for name in _unused_imports((SRC / f"{module}.py").read_text())
+            ] == []
+
+
+def test_unused_imports_are_found():
+    assert _unused_imports(
+        "from __future__ import annotations\n"
+        "import random\nimport os.path\n"
+        "from .bracket import random_form, _samples as draw\n"
+        "def f(x: os.path.PathLike):\n    return draw(x)\n") == [
+        "random", "random_form"]

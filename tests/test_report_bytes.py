@@ -23,6 +23,7 @@ from poissonforms.geometry import check_integrability
 from poissonforms.onedim import HermitianTriple, eta_kahler
 from poissonforms.parsing import parse_scalar
 from poissonforms.ratexpr import Chart, RatExpr
+from poissonforms.report import VerificationReport, component
 from poissonforms.scalars import GaussianRational
 
 from test_canonical import (affine_constants, cybe_violating_constants,
@@ -234,3 +235,30 @@ def digest(rep) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_bytes(case):
     assert digest(CASES[case]()) == DIGESTS[case]
+
+
+def test_a_residual_is_recorded_as_its_text():
+    ch = Chart(("x", "y"))
+    x = RatExpr.variable(ch, 0)
+    rep = VerificationReport()
+    rep.add_residual("law", x - x, "here")
+    rep.add_residual("law", x / (x + 1), "there")
+    assert [(c.name, c.status, c.residual, c.location) for c in rep.checks] == [
+        ("law", "pass", "0", "here"), ("law", "fail", str(x / (x + 1)), "there")]
+
+
+def test_first_nonzero_stops_at_the_first_failure():
+    zero = GaussianRational(0)
+
+    def components():
+        yield (0, 1), zero
+        yield (2, 0), GaussianRational(3, -1)
+        raise AssertionError("a component after the first failure was read")
+
+    rep = VerificationReport()
+    rep.add_first_nonzero("law", components())
+    rep.add_first_nonzero("held", iter([((0,), zero), ((1,), zero)]))
+    assert [(c.name, c.status, c.residual, c.location) for c in rep.checks] == [
+        ("law", "fail", str(GaussianRational(3, -1)), "component (2,0)"),
+        ("held", "pass", "0", "")]
+    assert component((1, 2, 3)) == "component (1,2,3)"
