@@ -5,7 +5,11 @@ the empty tuple holds the function part.  Mixed-degree sums are allowed,
 graded operations split them into homogeneous parts.  A sum of terms
 c dx^i ^ dx^j ^ ... with indices in any order is one `_signed_sum`: each
 index tuple is sorted by `sort_indices`, whose permutation sign is the
-wedge sign.  Sums and wedge products of forms are such sums too.
+wedge sign.  Sums and wedge products of forms are such sums too, except
+where an operand is zero: a sum is then the other operand (negated for
+0 - f) and a wedge product is zero, with no sum built.  A form keeps its
+exterior derivative from the first call of `ext_d` on, in a slot left
+unset until then; forms are immutable, so the kept value stays right.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ def _signed_sum(chart: Chart, terms) -> "DiffForm":
 
 
 class DiffForm:
-    __slots__ = ("chart", "parts", "_hash")
+    __slots__ = ("chart", "parts", "_hash", "_d")
 
     def __init__(self, chart: Chart, parts: dict | None = None):
         pruned = {}
@@ -168,10 +172,15 @@ class DiffForm:
         return self._plus(other, -1)
 
     def _plus(self, other, s: int):
-        """self + s * other for s = 1 or -1."""
+        """self + s * other for s = 1 or -1; a zero operand gives the
+        other one back."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o.parts:
+            return self
+        if not self.parts:
+            return o if s == 1 else -o
         return _signed_sum(self.chart, ((idxs, k, (c,)) for f, k in ((self, 1), (o, s))
                                         for idxs, c in f.parts.items()))
 
@@ -183,6 +192,10 @@ class DiffForm:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.parts:
+            return self
+        if not o.parts:
+            return o
         return _signed_sum(self.chart, ((ia + ib, 1, (ca, cb))
                                         for ia, ca in self.parts.items()
                                         for ib, cb in o.parts.items()))
@@ -208,7 +221,12 @@ class DiffForm:
             for g in indices if g not in idxs and (dc := c.diff(g))))
 
     def ext_d(self) -> "DiffForm":
-        return self.partial_d(range(self.chart.n))
+        """d of the form, computed once and kept in the slot _d."""
+        out = getattr(self, "_d", None)
+        if out is None:
+            out = self.partial_d(range(self.chart.n))
+            object.__setattr__(self, "_d", out)
+        return out
 
     def d_holo(self) -> "DiffForm":
         if not self.chart.is_complex():

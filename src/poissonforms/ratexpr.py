@@ -20,7 +20,13 @@ a/b and c/d:
 
 The product and the sum are the only places a gcd is taken.  Powers and
 conjugates of a reduced fraction are reduced, so they are at most made
-monic, and the derivative of a fraction is the quotient (a'b - ab')/b^2.
+monic, and the derivative of a fraction is the quotient (a'b - ab')/b^2,
+reduced by the constructor.  An expression keeps each derivative it
+has computed, by variable index, so `diff` runs once per expression and
+variable; the slot stays unset until the first call, and building an
+expression costs nothing for it.  Sums and products of two polynomials,
+both over the chart's shared `unit` denominator, are the polynomial sum
+or product over `unit`, and no gcd is tried.
 Charts carry the coordinate names plus, for complex charts, the pairing
 that drives conjugation.
 """
@@ -126,7 +132,7 @@ class Chart:
 class RatExpr:
     """Quotient of polynomials on a chart, always in reduced monic form."""
 
-    __slots__ = ("chart", "num", "den")
+    __slots__ = ("chart", "num", "den", "_d")
 
     def __init__(self, chart: Chart, num: Poly, den: Poly | None = None):
         """num/den reduced: the product of num/1 with the reciprocal 1/den,
@@ -209,6 +215,8 @@ class RatExpr:
         # t = a d/g + c s, and only g can share a factor with t.
         chart = self.chart
         a, b, c, d = self.num, self.den, o.num, o.den
+        if b is d is chart.unit:
+            return RatExpr._of(chart, a + c, b)
         g = _common(b, d)
         if g is None:
             return RatExpr._of(chart, _times(a, d) + _times(c, b), _times(b, d))
@@ -261,6 +269,8 @@ class RatExpr:
         a, b = self.num, self.den
         if a.is_zero():
             return self
+        if b is d is self.chart.unit:
+            return RatExpr._of(self.chart, _times(a, c), b)
         g1 = _common(a, d)
         if g1 is not None:
             a, d = a.divexact(g1), d.divexact(g1)
@@ -285,11 +295,22 @@ class RatExpr:
         return RatExpr._of(self.chart, self.num ** n, self.den ** n)
 
     def diff(self, which) -> "RatExpr":
+        """The partial derivative along a coordinate, kept in the slot _d
+        by index: an expression is immutable, so it is computed once."""
         idx = self.chart.index(which) if isinstance(which, str) else which
-        if self.den.is_const():
-            return RatExpr._of(self.chart, self.num.deriv(idx), self.den)
-        n, d = self.num, self.den
-        return RatExpr(self.chart, n.deriv(idx) * d - n * d.deriv(idx), d * d)
+        done = getattr(self, "_d", None)
+        if done is None:
+            done = {}
+            object.__setattr__(self, "_d", done)
+        out = done.get(idx)
+        if out is None:
+            n, d = self.num, self.den
+            if d.is_const():
+                out = RatExpr._of(self.chart, n.deriv(idx), d)
+            else:
+                out = RatExpr(self.chart, n.deriv(idx) * d - n * d.deriv(idx), d * d)
+            done[idx] = out
+        return out
 
     def conj(self) -> "RatExpr":
         """Conjugation is a ring automorphism, so the conjugate of a reduced

@@ -1,9 +1,11 @@
 import collections
+import hashlib
+import random
 
 import pytest
 
 from poissonforms.bracket import (PoissonStructure, SamplePlan, _generators,
-                                  verify_axioms)
+                                  _samples, verify_axioms)
 from poissonforms.complexforms import verify_complex_axioms
 from poissonforms.forms import DiffForm
 from poissonforms.onedim import HermitianTriple, build_one_dim
@@ -207,6 +209,38 @@ def test_memo_computes_each_distinct_bracket_once():
     assert (len(calls), len(pairs)) == (5189, 660)
     assert len(memo.stored) == len(pairs)
     assert set(memo.stored) == pairs
+
+
+def test_generator_wedges_and_derivatives_are_built_once(monkeypatch):
+    """64 generator pair wedges plus br(f, g) * h and g * br(f, h) for each
+    of the 512 triples; d of each distinct form once."""
+    calls = collections.Counter()
+    for name in ("__mul__", "partial_d"):
+        method = getattr(DiffForm, name)
+
+        def counted(self, other, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, other)
+
+        monkeypatch.setattr(DiffForm, name, counted)
+    assert verify_axioms(_darboux4(), SamplePlan(count=0)).passed
+    assert calls == {"__mul__": 64 + 2 * 512, "partial_d": 88}
+
+
+def test_sample_stream_is_pinned():
+    """The sampled forms of 20 plans on three charts, as text: a change
+    to how a sample is built must draw the same forms."""
+    charts = [Chart(("q", "p")), _darboux4().chart,
+              build_one_dim(HermitianTriple(1, 0, 1)).chart]
+    h = hashlib.sha256()
+    for chart in charts:
+        for k in range(20):
+            plan = SamplePlan(degree=1 + k % 3, count=3, seed=k)
+            for sample in _samples(chart, random.Random(plan.seed), plan, 3):
+                for f, p in sample:
+                    h.update(f"{p}:{f}\n".encode())
+    assert h.hexdigest() == (
+        "2c551919cdf74137428a7be684628fb049cbe6892b8dc69ca5273881b4094e6c")
 
 
 def test_memoized_brackets_equal_fresh_ones():

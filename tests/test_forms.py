@@ -65,6 +65,22 @@ def test_ext_d_squares_to_zero(ch3):
     assert f.ext_d().ext_d().is_zero()
 
 
+def test_ext_d_is_kept_on_the_form(ch3):
+    f = parse_form("x*y*d[z] + z^2", ch3)
+    assert f.ext_d() is f.ext_d()
+    assert f.ext_d() == parse_form("y*d[x]^d[z] + x*d[y]^d[z] + 2*z*d[z]", ch3)
+
+
+def test_zero_operands(ch3):
+    f = parse_form("x*d[y] + y/(x+1)", ch3)
+    zero = DiffForm.zero(ch3)
+    assert f + 0 == f and 0 + f == f and f - 0 == f
+    assert 0 - f == -f and zero - f == -f
+    assert f + zero is f and zero + f is f
+    assert f * 0 == 0 and 0 * f == 0
+    assert (f * zero).is_zero() and (zero * f).is_zero()
+
+
 def test_ext_d_leibniz(ch3):
     a = parse_form("x*d[x]", ch3)
     b = parse_form("y*d[z]", ch3)

@@ -72,6 +72,18 @@ def test_diff_quotient_rule(ch):
     assert RatExpr.const(ch, 5).diff("x").is_zero()
 
 
+def test_diff_is_kept_reduced(ch):
+    x = RatExpr.variable(ch, "x")
+    y = RatExpr.variable(ch, "y")
+    r = 1 / (y * (x * y + 1))
+    # gcd(d, d_x) = y, but y divides d^2 twice: dividing the quotient rule
+    # by gcd(d, d_x) alone would leave -y/(y (xy + 1)^2).
+    assert r.diff(0) == -1 / (x * x * y * y + 2 * x * y + 1)
+    assert str(r.diff(0)) == str(parse_scalar("-1/(x^2*y^2 + 2*x*y + 1)", ch))
+    assert r.diff(0) is r.diff(0)
+    assert r.diff("x") is r.diff(0)
+
+
 def test_conj_complex(czx):
     z = RatExpr.variable(czx, "z")
     zb = RatExpr.variable(czx, "zb")

@@ -10,6 +10,9 @@ that break a closure condition, to put nonzero residuals in the bytes.
 """
 
 import hashlib
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -262,3 +265,23 @@ def test_first_nonzero_stops_at_the_first_failure():
         ("law", "fail", str(GaussianRational(3, -1)), "component (2,0)"),
         ("held", "pass", "0", "")]
     assert component((1, 2, 3)) == "component (1,2,3)"
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# SHA-256 of the stdout of each freeze script, which holds the values the
+# complex-layer and one-dimensional tests were frozen from.
+FREEZE_DIGESTS = {
+    "freeze_complex.py":
+        'e3e5e9b5965995e86f96e78ef67a91071f3757e675505311fd2f27ef2cd26180',
+    "freeze_onedim.py":
+        'edf402e66c7bbe1bce12e6764c2c4f920a3f58cd645b7888a6cdf29ca9f6f12a',
+}
+
+
+@pytest.mark.parametrize("script", sorted(FREEZE_DIGESTS))
+def test_freeze_script_stdout(script):
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
+                         cwd=ROOT, stdout=subprocess.PIPE,
+                         stderr=subprocess.DEVNULL, timeout=120, check=True)
+    assert hashlib.sha256(out.stdout).hexdigest() == FREEZE_DIGESTS[script]
