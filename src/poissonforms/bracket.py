@@ -18,7 +18,9 @@ with I<k and I>k the indices of I before and after position k,
 
 `verify_axioms` builds the wedge g * h of each generator pair once and
 hands it to the derivation law of every triple (f, g, h); a sampled
-triple builds its own.
+triple builds its own.  The bracket keeps no derivatives itself: the
+table (dx^a, dx^b) is the d that the one-form (x^a, dx^b) keeps, and
+(c, dx^j) reads the derivatives that c keeps.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ class PoissonStructure:
         self._rows = {a for a, _ in P.components}
         self._cols = {b for _, b in P.components}
         self._xd = None
-        self._dd = None
         self._brackets = {}
 
     @property
@@ -96,11 +97,9 @@ class PoissonStructure:
         return self._xd[a][b]
 
     def dx_dx(self, a: int, b: int) -> DiffForm:
-        """(dx^a, dx^b) as a two-form; forced by the d-Leibniz rule."""
-        if self._dd is None:
-            n = self.n
-            self._dd = [[self.coord_dx(a2, b2).ext_d() for b2 in range(n)] for a2 in range(n)]
-        return self._dd[a][b]
+        """(dx^a, dx^b) as a two-form; forced by the d-Leibniz rule.  The
+        one-form (x^a, dx^b) keeps its d, so this is built once."""
+        return self.coord_dx(a, b).ext_d()
 
     def bracket_scalars(self, f: RatExpr, g: RatExpr) -> RatExpr:
         out = RatExpr.zero(self.chart)
@@ -111,18 +110,16 @@ class PoissonStructure:
                 out = out + p * df[a] * dg[b]
         return out
 
-    def _with_dx(self, c: RatExpr, j: int, dc: dict) -> dict:
+    def _with_dx(self, c: RatExpr, j: int) -> dict:
         """(c, dx^j) for a function c as {(d,): coefficient}, by the chain
-        rule on coordinates; dc caches the derivatives of c."""
+        rule on coordinates; c keeps its derivatives."""
         if self._xd is None:
             self.coord_dx(j, j)
         out = {}
         for g, parts in self._xd_cols[j]:
-            if g not in dc:
-                dc[g] = c.diff(g)
-            if dc[g]:
+            if dc := c.diff(g):
                 for d, v in parts.items():
-                    t = dc[g] * v
+                    t = dc * v
                     out[d] = out[d] + t if d in out else t
         return out
 
@@ -155,16 +152,14 @@ class PoissonStructure:
         for (I, a), (J, b) in product(f.parts.items(), g.parts.items()):
             if not set(I).intersection(J):  # else dx^I dx^J = 0: no {b, a}
                 yield I + J, -1, (self.bracket_scalars(b, a),)
-            db = {}
             for k, i in enumerate(I):
-                for d, v in self._with_dx(b, i, db).items():
+                for d, v in self._with_dx(b, i).items():
                     yield I[:k] + d + I[k + 1:] + J, -1, (a, v)
-            da = {}
             s = 1 if len(I) % 2 else -1
             for l, j in enumerate(J):
                 lo, hi = J[:l], J[l + 1:]
                 sl = -s if len(I) * l % 2 else s
-                for d, v in self._with_dx(a, j, da).items():
+                for d, v in self._with_dx(a, j).items():
                     yield lo + d + I + hi, -sl, (b, v)
                 for k, i in enumerate(I):
                     for pq, w in self.dx_dx(j, i).parts.items():
@@ -183,35 +178,29 @@ class SamplePlan:
 
 
 def random_scalar(chart: Chart, rng: random.Random, degree: int) -> RatExpr:
-    """Random polynomial with small integer (or Gaussian integer)
-    coefficients: one to three terms, summed as (re, im) pairs into one
-    Poly."""
+    """Random polynomial with small integer (or Gaussian integer) coefficients."""
     n = chart.n
-    terms = {}
+    out = RatExpr.zero(chart)
     for _ in range(rng.randint(1, 3)):
         exps = [0] * n
         for _ in range(rng.randint(0, degree)):
             exps[rng.randrange(n)] += 1
-        re, im = rng.randint(-3, 3), 0
+        c = rng.randint(-3, 3)
         if chart.is_complex() and rng.random() < 0.4:
-            im = rng.randint(-2, 2)
-        e = tuple(exps)
-        r0, i0 = terms.get(e, (0, 0))
-        terms[e] = (r0 + re, i0 + im)
-    return RatExpr(chart, Poly(n, {e: GaussianRational(re, im) if im else re
-                                   for e, (re, im) in terms.items()}))
+            coeff = GaussianRational(c, rng.randint(-2, 2))
+        else:
+            coeff = GaussianRational(c)
+        out = out + RatExpr(chart, Poly.monomial(n, tuple(exps), coeff))
+    return out
 
 
 def random_form(chart: Chart, rng: random.Random, degree: int, form_degree: int) -> DiffForm:
-    """One or two random monomials of degree form_degree, summed into one
-    dict."""
-    parts = {}
+    out = DiffForm.zero(chart)
     n = chart.n
     for _ in range(rng.randint(1, 2)):
         idxs = tuple(sorted(rng.sample(range(n), form_degree)))
-        c = random_scalar(chart, rng, degree)
-        parts[idxs] = parts[idxs] + c if idxs in parts else c
-    return DiffForm(chart, parts)
+        out = out + DiffForm.monomial(random_scalar(chart, rng, degree), idxs)
+    return out
 
 
 def _samples(chart: Chart, rng: random.Random, plan: SamplePlan, arity: int):

@@ -24,9 +24,7 @@ monic, and the derivative of a fraction is the quotient (a'b - ab')/b^2,
 reduced by the constructor.  An expression keeps each derivative it
 has computed, by variable index, so `diff` runs once per expression and
 variable; the slot stays unset until the first call, and building an
-expression costs nothing for it.  Sums and products of two polynomials,
-both over the chart's shared `unit` denominator, are the polynomial sum
-or product over `unit`, and no gcd is tried.
+expression costs nothing for it.
 Charts carry the coordinate names plus, for complex charts, the pairing
 that drives conjugation.
 """
@@ -215,8 +213,6 @@ class RatExpr:
         # t = a d/g + c s, and only g can share a factor with t.
         chart = self.chart
         a, b, c, d = self.num, self.den, o.num, o.den
-        if b is d is chart.unit:
-            return RatExpr._of(chart, a + c, b)
         g = _common(b, d)
         if g is None:
             return RatExpr._of(chart, _times(a, d) + _times(c, b), _times(b, d))
@@ -269,8 +265,6 @@ class RatExpr:
         a, b = self.num, self.den
         if a.is_zero():
             return self
-        if b is d is self.chart.unit:
-            return RatExpr._of(self.chart, _times(a, c), b)
         g1 = _common(a, d)
         if g1 is not None:
             a, d = a.divexact(g1), d.divexact(g1)
