@@ -1,12 +1,13 @@
-"""Byte pins for the frame-layer and constants reports.
+"""Byte pins for the axiom, frame-layer and constants reports.
 
 Each case renders a report as `poissonforms ... --format machine` would
 (sorted checks, summary) and compares its SHA-256 with a digest taken
-before the frame layer was refactored, so any change to a check name,
-status, residual string or location shows up here.  Passing reports all
-look alike apart from their names and locations, so most cases pair a
+before the frame layer, or for the `axioms/*` cases the walk over law
+arguments, was refactored, so any change to a check name, status,
+residual string or location shows up here.  Passing reports all look
+alike apart from their names and locations, so most cases pair a
 structure with a frame built for another structure, or use constants
-that break a closure condition, to put nonzero residuals in the bytes.
+or a connection that break a law, to put nonzero residuals in the bytes.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import sys
 
 import pytest
 
-from poissonforms.bracket import PoissonStructure, SamplePlan
+from poissonforms.bracket import PoissonStructure, SamplePlan, verify_axioms
 from poissonforms.canonical import (CanonicalConstants, build_canonical,
                                     check_constants, e_basis, xi_realization)
 from poissonforms.complexforms import (eta_forms, kahler_form,
@@ -34,6 +35,7 @@ from test_canonical import (affine_constants, cybe_violating_constants,
                             sphere_real_constants)
 from test_complex import (flat_build, linear_constants, product_chart,
                           product_constants, sphere_build, zchart)
+from test_invariance import so3
 
 PLAN = SamplePlan(count=3, seed=5)
 
@@ -162,10 +164,16 @@ CASES = {
         lambda: verify_complex_axioms(pattern_broken(), SamplePlan(count=1)),
     "complex_axioms/corrupted":
         lambda: verify_complex_axioms(corrupted_sphere(), SamplePlan(count=1)),
+    "axioms/corrupted_sphere": lambda: verify_axioms(corrupted_sphere(), PLAN),
+    "axioms/so3": lambda: verify_axioms(so3(), PLAN),
 }
 
 
 DIGESTS = {
+    'axioms/corrupted_sphere':
+        'b6a13624c9af4ee947019ab895f2efea06c501170ee7efc9291c53824b6e7ff5',
+    'axioms/so3':
+        'abf111edb19c7ce53072638164f615393e519a19550a8a2ae6a61b8f99cd900e',
     'check_constants/constant':
         'ac256604a990c72f5f1a8e7052fdb70d01f3bdddee25ca7b4dc0be102b9df739',
     'check_constants/cybe':
