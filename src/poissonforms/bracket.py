@@ -16,11 +16,11 @@ with I<k and I>k the indices of I before and after position k,
   (a dx^I, dx^j) = s a sum_k (-1)^k dx^I<k (dx^j, dx^I_k) dx^I>k
                    - s (a, dx^j) dx^I,  s = -1 for |I| even, +1 for odd.
 
-`verify_axioms` builds the wedge g * h of each generator pair once and
-hands it to the derivation law of every triple (f, g, h); a sampled
-triple builds its own.  The bracket keeps no derivatives itself: the
-table (dx^a, dx^b) is the d that the one-form (x^a, dx^b) keeps, and
-(c, dx^j) reads the derivatives that c keeps.
+`_law_arguments` is the one walk of law arguments, for `verify_axioms`
+and `verify_complex_axioms`; `verify_axioms` builds the wedge g * h of
+each distinct pair (g, h) once.  The bracket keeps no derivatives
+itself: the table (dx^a, dx^b) is the d that the one-form (x^a, dx^b)
+keeps, and (c, dx^j) reads the derivatives that c keeps.
 """
 
 from __future__ import annotations
@@ -213,10 +213,6 @@ def _samples(chart: Chart, rng: random.Random, plan: SamplePlan, arity: int):
         yield [(random_form(chart, rng, plan.degree, p), p) for p in degrees]
 
 
-def _sign(e: int) -> int:
-    return -1 if e % 2 else 1
-
-
 def _generators(structure: PoissonStructure) -> list:
     chart = structure.chart
     gens = []
@@ -227,14 +223,30 @@ def _generators(structure: PoissonStructure) -> list:
     return gens
 
 
+def _law_arguments(structure: PoissonStructure, plan: SamplePlan,
+                   arity: int):
+    """(location, [(form, degree), ...]) for every generator pair, every
+    generator triple when arity is 3, then each tuple that _samples draws
+    at `arity` with plan.seed: its leading pair, then at arity 3 the
+    whole triple.  The one walk of arguments for the bracket laws."""
+    gens = _generators(structure)
+    forms = [(f, p) for f, p, _ in gens]
+    names = [name for _, _, name in gens]
+    for r in range(2, arity + 1):
+        for fs, ns in zip(product(forms, repeat=r), product(names, repeat=r)):
+            yield f"generators ({','.join(ns)})", fs
+    samples = _samples(structure.chart, random.Random(plan.seed), plan, arity)
+    for k, args in enumerate(samples):
+        for r in range(2, arity + 1):
+            yield f"sample={k}", args[:r]
+
+
 def _leibniz_residual(br, d, f, pf, g, fg):
     """d(f,g) - (d f, g) - (-1)^pf (f, d g) for a derivation d of the
     forms: ext_d, d_holo or d_antiholo."""
     res = d(fg) - br(d(f), g)
     rest = br(f, d(g))
-    if _sign(pf) < 0:
-        rest = -rest
-    return res - rest
+    return res + rest if pf % 2 else res - rest
 
 
 def _split_pair_checks(rep, structure, f, pf, g, fg, loc, names):
@@ -258,7 +270,8 @@ def _split_pair_checks(rep, structure, f, pf, g, fg, loc, names):
         rep.add(bidegree, not bad, f"bidegrees {bad}" if bad else "0", loc)
 
 
-def _pair_checks(rep, structure, f, pf, g, pg, loc):
+def _pair_checks(rep, structure, args, loc):
+    (f, pf), (g, pg) = args
     br = structure.bracket
     fg = br(f, g)
     gf = br(g, f)
@@ -277,45 +290,35 @@ def _pair_checks(rep, structure, f, pf, g, pg, loc):
                             "axiom-hermiticity", "axiom-bidegree"))
 
 
-def _triple_checks(rep, structure, f, pf, g, pg, h, ph, gh, loc):
+def _triple_checks(rep, structure, args, gh, loc):
     """Jacobi and the derivation rule on one triple, with gh = g * h."""
+    (f, pf), (g, pg), (h, ph) = args
     br = structure.bracket
     jac = br(f, br(g, h))
     t2 = br(g, br(h, f))
-    if _sign(pf * (pg + ph)) < 0:
-        t2 = -t2
+    jac = jac - t2 if pf * (pg + ph) % 2 else jac + t2
     t3 = br(h, br(f, g))
-    if _sign(ph * (pf + pg)) < 0:
-        t3 = -t3
-    rep.add_residual("axiom-jacobi", jac + t2 + t3, loc)
+    jac = jac - t3 if ph * (pf + pg) % 2 else jac + t3
+    rep.add_residual("axiom-jacobi", jac, loc)
 
     der = br(f, gh) - br(f, g) * h
     rest = g * br(f, h)
-    if _sign(pf * pg) < 0:
-        rest = -rest
-    rep.add_residual("axiom-derivation", der - rest, loc)
+    der = der + rest if pf * pg % 2 else der - rest
+    rep.add_residual("axiom-derivation", der, loc)
 
 
 def verify_axioms(structure: PoissonStructure, plan: SamplePlan | None = None) -> VerificationReport:
     """Check the bracket laws exactly on all generator pairs and triples,
-    then on sampled random forms.  The wedge g * h of each generator pair
+    then on sampled random forms.  The wedge g * h of each distinct pair
     is built once, here, and shared by the triples (f, g, h)."""
-    plan = plan or SamplePlan()
-    rng = random.Random(plan.seed)
     rep = VerificationReport()
-
-    gens = _generators(structure)
-    for (f, pf, nf), (g, pg, ng) in product(gens, repeat=2):
-        _pair_checks(rep, structure, f, pf, g, pg, f"generators ({nf},{ng})")
-    wedges = {(g, h): g * h for (g, _, _), (h, _, _) in product(gens, repeat=2)}
-    for (f, pf, nf), (g, pg, ng), (h, ph, nh) in product(gens, repeat=3):
-        _triple_checks(rep, structure, f, pf, g, pg, h, ph, wedges[g, h],
-                       f"generators ({nf},{ng},{nh})")
-
-    samples = _samples(structure.chart, rng, plan, 3)
-    for k, ((f, pf), (g, pg), (h, ph)) in enumerate(samples):
-        loc = f"sample={k}"
-        _pair_checks(rep, structure, f, pf, g, pg, loc)
-        _triple_checks(rep, structure, f, pf, g, pg, h, ph, g * h, loc)
-
+    wedges = {}
+    for loc, args in _law_arguments(structure, plan or SamplePlan(), 3):
+        if len(args) == 2:
+            _pair_checks(rep, structure, args, loc)
+        else:
+            _, (g, _), (h, _) = args
+            if (g, h) not in wedges:
+                wedges[g, h] = g * h
+            _triple_checks(rep, structure, args, wedges[g, h], loc)
     return rep

@@ -12,9 +12,8 @@ a user-supplied constant hermitian frame metric.
 from __future__ import annotations
 
 import itertools
-import random
 
-from .bracket import (PoissonStructure, SamplePlan, _generators, _samples,
+from .bracket import (PoissonStructure, SamplePlan, _law_arguments,
                       _split_pair_checks)
 from .canonical import Frame, _check_realizations, _quadratic_constants
 from .forms import DiffForm
@@ -59,8 +58,6 @@ def verify_complex_axioms(s: PoissonStructure,
     coefficients when P is quadratic."""
     chart = s.chart
     _require_complex(chart)
-    plan = plan or SamplePlan()
-    rng = random.Random(plan.seed)
     rep = VerificationReport()
     n = chart.n
 
@@ -70,15 +67,10 @@ def verify_complex_axioms(s: PoissonStructure,
     if not bad:
         rep.add("connection-block-diagonal", True)
 
-    def pair(f, pf, g, loc):
-        _split_pair_checks(rep, s, f, pf, g, s.bracket(f, g), loc,
-                           ("delta-leibniz", "deltabar-leibniz",
-                            "hermiticity", "bidegree-additivity"))
-
-    for (f, pf, nf), (g, _, ng) in itertools.product(_generators(s), repeat=2):
-        pair(f, pf, g, f"generators ({nf},{ng})")
-    for k, ((f, pf), (g, _)) in enumerate(_samples(chart, rng, plan, 2)):
-        pair(f, pf, g, f"sample={k}")
+    names = ("delta-leibniz", "deltabar-leibniz", "hermiticity",
+             "bidegree-additivity")
+    for loc, ((f, pf), (g, _)) in _law_arguments(s, plan or SamplePlan(), 2):
+        _split_pair_checks(rep, s, f, pf, g, s.bracket(f, g), loc, names)
 
     cons = _quadratic_constants(s)
     if cons is None:

@@ -54,6 +54,26 @@ def _unused_imports(source: str) -> list:
     return [name for name in bound if name not in read]
 
 
+def _readers(module: str, source: str, name: str) -> set:
+    """"module.definition" for each top-level definition of `source`, the
+    text of `module`, that reads `name` under any name it is imported
+    as; "module" for a read outside any definition."""
+    tree = ast.parse(source)
+    names = {name} | {a.asname for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom)
+                      for a in node.names if a.name == name and a.asname}
+    out = set()
+    for node in tree.body:
+        where = module
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where += "." + node.name
+        if any(isinstance(n, ast.Name) and n.id in names
+               or isinstance(n, ast.Attribute) and n.attr in names
+               for n in ast.walk(node)):
+            out.add(where)
+    return out
+
+
 def test_every_module_has_a_layer():
     assert sorted(p.stem for p in SRC.glob("*.py")) == sorted(LAYERS)
 
@@ -88,3 +108,23 @@ def test_unused_imports_are_found():
         "from .bracket import random_form, _samples as draw\n"
         "def f(x: os.path.PathLike):\n    return draw(x)\n") == [
         "random", "random_form"]
+
+
+def test_law_arguments_have_one_walk():
+    """The generators and the sample stream are walked in `bracket`
+    (`_law_arguments`); the realization checks draw single forms."""
+    readers = {name: {r for module in LAYERS for r in _readers(
+        module, (SRC / f"{module}.py").read_text(), name)}
+        for name in ("_generators", "_samples")}
+    assert {r.split(".")[0] for r in readers["_generators"]} == {"bracket"}
+    assert {r for r in readers["_samples"] if not r.startswith("bracket.")
+            } == {"canonical._check_realizations"}
+
+
+def test_readers_are_found():
+    source = ("from .bracket import _samples as draw, _generators\n"
+              "def f(x):\n    return draw(x)\n"
+              "class C:\n    g = bracket._generators\n"
+              "h = _generators\n")
+    assert _readers("m", source, "_samples") == {"m.f"}
+    assert _readers("m", source, "_generators") == {"m.C", "m"}
