@@ -225,7 +225,7 @@ def _generators(structure: PoissonStructure) -> list:
 
 def _law_arguments(structure: PoissonStructure, plan: SamplePlan,
                    arity: int):
-    """(location, [(form, degree), ...]) for every generator pair, every
+    """(location, ((form, degree), ...)) for every generator pair, every
     generator triple when arity is 3, then each tuple that _samples draws
     at `arity` with plan.seed: its leading pair, then at arity 3 the
     whole triple.  The one walk of arguments for the bracket laws."""

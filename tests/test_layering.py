@@ -55,9 +55,9 @@ def _unused_imports(source: str) -> list:
 
 
 def _readers(module: str, source: str, name: str) -> set:
-    """"module.definition" for each top-level definition of `source`, the
-    text of `module`, that reads `name` under any name it is imported
-    as; "module" for a read outside any definition."""
+    """The top-level definitions of `source`, the text of `module`, that
+    read `name` under any name it is imported as, each as
+    "module.definition"; "module" stands for a read outside them."""
     tree = ast.parse(source)
     names = {name} | {a.asname for node in ast.walk(tree)
                       if isinstance(node, ast.ImportFrom)
@@ -113,11 +113,12 @@ def test_unused_imports_are_found():
 def test_law_arguments_have_one_walk():
     """The generators and the sample stream are walked in `bracket`
     (`_law_arguments`); the realization checks draw single forms."""
-    readers = {name: {r for module in LAYERS for r in _readers(
-        module, (SRC / f"{module}.py").read_text(), name)}
-        for name in ("_generators", "_samples")}
-    assert {r.split(".")[0] for r in readers["_generators"]} == {"bracket"}
-    assert {r for r in readers["_samples"] if not r.startswith("bracket.")
+    def readers(name):
+        return {r for module in LAYERS for r in _readers(
+            module, (SRC / f"{module}.py").read_text(), name)}
+
+    assert {r.split(".")[0] for r in readers("_generators")} == {"bracket"}
+    assert {r for r in readers("_samples") if not r.startswith("bracket.")
             } == {"canonical._check_realizations"}
 
 
