@@ -17,10 +17,13 @@ with I<k and I>k the indices of I before and after position k,
                    - s (a, dx^j) dx^I,  s = -1 for |I| even, +1 for odd.
 
 `_law_arguments` is the one walk of law arguments, for `verify_axioms`
-and `verify_complex_axioms`; `verify_axioms` builds the wedge g * h of
-each distinct pair (g, h) once.  The bracket keeps no derivatives
-itself: the table (dx^a, dx^b) is the d that the one-form (x^a, dx^b)
-keeps, and (c, dx^j) reads the derivatives that c keeps.
+and `verify_complex_axioms`, and `_realization_arguments` the one walk
+of the single forms that the realization checks of `canonical` and
+`complexforms` bracket with; this module alone draws samples.
+`verify_axioms` builds the wedge g * h of each distinct pair (g, h)
+once.  The bracket keeps no derivatives itself: the table
+(dx^a, dx^b) is the d that the one-form (x^a, dx^b) keeps, and
+(c, dx^j) reads the derivatives that c keeps.
 """
 
 from __future__ import annotations
@@ -30,21 +33,12 @@ from dataclasses import dataclass
 from itertools import product
 
 from .forms import DiffForm, _signed_sum
-from .geometry import Tensor, _as_tensor, coord_signature
+from .geometry import Tensor, _as_tensor, _first_failure, coord_signature
 from .linalg import _contract
 from .polynomials import Poly
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
 from .scalars import GaussianRational
-
-
-def _first_failure(P: Tensor, partner, holds):
-    """The first (a, b) in index order where holds(P[a, b],
-    P[partner(a, b)]) is false, for an involution `partner` of index
-    pairs.  Both laws hold where both entries are zero, so only the
-    nonzero entries and their partners are tried."""
-    return min((ab for idx in P.components for ab in (idx, partner(*idx))
-                if not holds(P[ab], P[partner(*ab)])), default=None)
 
 
 class PoissonStructure:
@@ -214,13 +208,11 @@ def _samples(chart: Chart, rng: random.Random, plan: SamplePlan, arity: int):
 
 
 def _generators(structure: PoissonStructure) -> list:
+    """(form, degree, name) for each x^a, then each dx^a."""
     chart = structure.chart
-    gens = []
-    for a in range(chart.n):
-        gens.append((DiffForm.coord(chart, a), 0, chart.names[a]))
-    for a in range(chart.n):
-        gens.append((DiffForm.d_coord(chart, a), 1, f"d[{chart.names[a]}]"))
-    return gens
+    gens = [(DiffForm.coord(chart, a), 0) for a in range(chart.n)]
+    gens += [(DiffForm.d_coord(chart, a), 1) for a in range(chart.n)]
+    return [(f, p, str(f)) for f, p in gens]
 
 
 def _law_arguments(structure: PoissonStructure, plan: SamplePlan,
@@ -239,6 +231,23 @@ def _law_arguments(structure: PoissonStructure, plan: SamplePlan,
     for k, args in enumerate(samples):
         for r in range(2, arity + 1):
             yield f"sample={k}", args[:r]
+
+
+def _realization_arguments(chart: Chart, plan: SamplePlan, on_forms: bool):
+    """(kind, location, w) for the realization checks: each coordinate
+    x^a as kind 0, then plan.count sampled functions as kind 1 and, when
+    on_forms holds, as many sampled forms as kind 2.  One generator
+    seeded with plan.seed draws every sample."""
+    for a in range(chart.n):
+        x = DiffForm.coord(chart, a)
+        yield 0, f"coordinate {x}", x
+    rng = random.Random(plan.seed)
+    for k in range(plan.count):
+        w = DiffForm.from_scalar(random_scalar(chart, rng, plan.degree))
+        yield 1, f"sample {k}", w
+    if on_forms:
+        for k, ((w, _),) in enumerate(_samples(chart, rng, plan, 1)):
+            yield 2, f"sample {k}", w
 
 
 def _leibniz_residual(br, d, f, pf, g, fg):

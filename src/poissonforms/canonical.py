@@ -18,16 +18,17 @@ them, the inverse of P, and the connection and frame curvature of the
 built structure are sparse contractions (`linalg._contract`, `_sum`) or
 sparse eliminations, so their cost follows the number of nonzero
 entries, not the dimension.  The frame's potential and two-forms are
-signed sums of `forms`.
+signed sums of `forms`.  The realization checks of xi (and of the
+complex layer's eta forms and central two-form) walk the arguments of
+`bracket._realization_arguments`; this module draws no samples.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 
-from .bracket import PoissonStructure, SamplePlan, _samples, random_scalar
+from .bracket import PoissonStructure, SamplePlan, _realization_arguments
 from .forms import DiffForm, _signed_sum
 from .geometry import (COORD, FRAME, Tensor, _as_tensor, _gradient,
                        _read_array, coord_signature, curvature)
@@ -359,26 +360,12 @@ def _quadratic_constants(s: PoissonStructure):
 
 def _check_realizations(rep: VerificationReport, s: PoissonStructure,
                         plan: SamplePlan, cases, on_forms: bool) -> None:
-    """Check (omega, w) = D w for each case (omega, D, names): on every
-    coordinate, on plan.count sampled functions and, when on_forms holds,
-    on as many sampled forms; names holds the check name for each of the
-    three.  All cases share each draw, and one generator seeded with
-    plan.seed makes every draw."""
-    chart = s.chart
-    rng = random.Random(plan.seed)
-
-    def check(w, kind, loc):
+    """Check (omega, w) = D w for each case (omega, D, names) on each w
+    of `bracket._realization_arguments`; names holds the check name for
+    each of its three kinds.  All cases share each w."""
+    for kind, loc, w in _realization_arguments(s.chart, plan, on_forms):
         for omega, D, names in cases:
             rep.add_residual(names[kind], s.bracket(omega, w) - D(w), loc)
-
-    for a in range(chart.n):
-        check(DiffForm.coord(chart, a), 0, f"coordinate {chart.names[a]}")
-    for k in range(plan.count):
-        w = DiffForm.from_scalar(random_scalar(chart, rng, plan.degree))
-        check(w, 1, f"sample {k}")
-    if on_forms:
-        for k, ((w, _),) in enumerate(_samples(chart, rng, plan, 1)):
-            check(w, 2, f"sample {k}")
 
 
 def xi_realization(s: PoissonStructure, fr: Frame, plan: SamplePlan | None = None):
@@ -409,9 +396,9 @@ def xi_realization(s: PoissonStructure, fr: Frame, plan: SamplePlan | None = Non
     for a in range(n):
         want = sum((fe[C].scale(-(half * fr.M[a, C])) for C in range(n)),
                    DiffForm.zero(chart))
-        rep.add_residual("xi-on-differentials",
-                         s.bracket(xi, DiffForm.d_coord(chart, a)) - want,
-                         f"differential d[{chart.names[a]}]")
+        da = DiffForm.d_coord(chart, a)
+        rep.add_residual("xi-on-differentials", s.bracket(xi, da) - want,
+                         f"differential {da}")
     want = sum((fe[C].scale(half * fr.Phi[C]) for C in range(n)),
                fr.two_form(cons.g))
     rep.add_residual("xi-derivative", xi.ext_d() - want)

@@ -141,9 +141,9 @@ def _check_central_on_differentials(rep: VerificationReport,
     """(K, dx^a) = 0 for every coordinate differential."""
     chart = s.chart
     for a in range(chart.n):
-        rep.add_residual("kahler-central-forms",
-                         s.bracket(K, DiffForm.d_coord(chart, a)),
-                         f"differential d[{chart.names[a]}]")
+        da = DiffForm.d_coord(chart, a)
+        rep.add_residual("kahler-central-forms", s.bracket(K, da),
+                         f"differential {da}")
 
 
 def kahler_form(s: PoissonStructure, fr: Frame, h=None,
@@ -176,24 +176,10 @@ def kahler_form(s: PoissonStructure, fr: Frame, h=None,
                              "linear part")
         H = {(A, B): v for (A, B), v in cons.g.items()
              if A in holo_rows and B in anti_rows}
-    else:
-        H = _read_array(h, n, 2, GaussianRational.coerce, "frame metric")
-        if any(A not in holo_rows or B not in anti_rows for A, B in H):
-            raise ValueError("frame metric must pair holomorphic "
-                             "rows with antiholomorphic ones")
-        block = {(holo_rows.index(A), anti_rows.index(B)): v
-                 for (A, B), v in H.items()}
-        if (len(holo_rows) != len(anti_rows)
-                or det_matrix(block, len(holo_rows)) == 0):
-            raise ValueError("degenerate frame metric")
-
-    frameK = fr.two_form(H)
-
-    if h is None:
         eta = fr.potential_form(holo_rows)
         etabar = fr.potential_form(anti_rows)
         K = eta.d_antiholo()
-        rep.add_residual("kahler-from-frame", K - frameK)
+        rep.add_residual("kahler-from-frame", K - fr.two_form(H))
         rep.add_residual("kahler-alternate", K - etabar.d_holo())
 
         for name, d, rows in (
@@ -218,7 +204,16 @@ def kahler_form(s: PoissonStructure, fr: Frame, h=None,
 
         _check_central_on_differentials(rep, s, K)
     else:
-        K = frameK
+        H = _read_array(h, n, 2, GaussianRational.coerce, "frame metric")
+        if any(A not in holo_rows or B not in anti_rows for A, B in H):
+            raise ValueError("frame metric must pair holomorphic "
+                             "rows with antiholomorphic ones")
+        block = {(holo_rows.index(A), anti_rows.index(B)): v
+                 for (A, B), v in H.items()}
+        if (len(holo_rows) != len(anti_rows)
+                or det_matrix(block, len(holo_rows)) == 0):
+            raise ValueError("degenerate frame metric")
+        K = fr.two_form(H)
 
     rep.add_residual("kahler-bidegree", K - K.bidegree_part(1, 1))
     rep.add_residual("kahler-star", K.star() - K)

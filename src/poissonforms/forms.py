@@ -252,12 +252,15 @@ class DiffForm:
 
     # -- bidegree (complex charts) -------------------------------------
 
+    def _bidegree_of(self, idxs: tuple) -> tuple:
+        """The (p, q) holomorphic and antiholomorphic factor counts of
+        dx^idxs: the one count behind every bidegree."""
+        p = len(self.chart.holo.intersection(idxs))
+        return p, len(idxs) - p
+
     def bidegrees(self) -> set:
-        """The (p, q) holomorphic and antiholomorphic factor counts of the
-        terms, as degrees() gives their degrees."""
-        holo = self.chart.holo
-        return {(p := sum(1 for j in idxs if j in holo), len(idxs) - p)
-                for idxs in self.parts}
+        """The bidegrees of the terms, as degrees() gives their degrees."""
+        return {self._bidegree_of(idxs) for idxs in self.parts}
 
     def bidegree(self):
         """(p, q) for a form homogeneous in holomorphic and antiholomorphic
@@ -268,13 +271,9 @@ class DiffForm:
         return seen.pop() if seen else (0, 0)
 
     def bidegree_part(self, p: int, q: int) -> "DiffForm":
-        holo = self.chart.holo
-        parts = {}
-        for idxs, c in self.parts.items():
-            hp = sum(1 for j in idxs if j in holo)
-            if hp == p and len(idxs) - hp == q:
-                parts[idxs] = c
-        return DiffForm._of(self.chart, parts)
+        return DiffForm._of(self.chart, {
+            idxs: c for idxs, c in self.parts.items()
+            if self._bidegree_of(idxs) == (p, q)})
 
     # -- comparison ---------------------------------------------------
 

@@ -166,6 +166,16 @@ def _as_tensor(chart: Chart, signature: tuple, T) -> Tensor:
     return T
 
 
+def _first_failure(T: Tensor, partner, holds):
+    """The first (a, b) in index order where holds(T[a, b],
+    T[partner(a, b)]) is false, for an involution `partner` of index
+    pairs: the one scan of a pairing law on a matrix.  Such laws hold
+    where both entries are zero, so only the nonzero entries and their
+    partners are tried."""
+    return min((ab for idx in T.components for ab in (idx, partner(*idx))
+                if not holds(T[ab], T[partner(*ab)])), default=None)
+
+
 def _connection(s: PoissonStructure, which: str) -> dict:
     """The nonzero entries of Gamma ("gamma") or of its twist ("tilde")."""
     G = s.Gamma.components
@@ -276,8 +286,7 @@ class Metric:
     def __init__(self, chart: Chart, h):
         """h is a Tensor or a nested array read by the Tensor constructor."""
         h = _as_tensor(chart, coord_signature("dd"), h)
-        bad = min((tuple(sorted(idx)) for idx, v in h.components.items()
-                   if h[idx[::-1]] != v), default=None)
+        bad = _first_failure(h, lambda a, b: (b, a), lambda v, w: v == w)
         if bad is not None:
             raise ValueError("h is not symmetric at (%d,%d)" % bad)
         self.chart = chart

@@ -18,6 +18,8 @@ module.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .bracket import PoissonStructure, SamplePlan
 from .canonical import CanonicalConstants, build_canonical, poisson_matrix
 from .complexforms import (_check_central_on_differentials, eta_forms,
@@ -36,19 +38,19 @@ def _real(v, what: str) -> GaussianRational:
     return g
 
 
+@dataclass(frozen=True, slots=True)
 class HermitianTriple:
     """Coefficients (a, b, c) of P = a z zb + b z + conj(b) zb + c with
     a, c real and b complex."""
 
-    __slots__ = ("a", "b", "c")
+    a: GaussianRational
+    b: GaussianRational
+    c: GaussianRational
 
-    def __init__(self, a, b, c):
-        object.__setattr__(self, "a", _real(a, "a"))
-        object.__setattr__(self, "b", GaussianRational.coerce(b))
-        object.__setattr__(self, "c", _real(c, "c"))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianTriple is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "a", _real(self.a, "a"))
+        object.__setattr__(self, "b", GaussianRational.coerce(self.b))
+        object.__setattr__(self, "c", _real(self.c, "c"))
 
     @property
     def det(self) -> GaussianRational:
@@ -58,18 +60,11 @@ class HermitianTriple:
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero() and self.c.is_zero()
 
-    def __eq__(self, other):
-        if not isinstance(other, HermitianTriple):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.c == other.c
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c))
-
     def __repr__(self):
         return f"HermitianTriple({self.a}, {self.b}, {self.c})"
 
 
+@dataclass(frozen=True, slots=True)
 class MoebiusMap:
     """Invertible fractional linear map z = (alpha z' + beta)/(gamma z' + delta).
 
@@ -77,18 +72,17 @@ class MoebiusMap:
     whose matrix is the product of the two coefficient matrices in that
     order."""
 
-    __slots__ = ("alpha", "beta", "gamma", "delta")
+    alpha: GaussianRational
+    beta: GaussianRational
+    gamma: GaussianRational
+    delta: GaussianRational
 
-    def __init__(self, alpha, beta, gamma, delta):
-        object.__setattr__(self, "alpha", GaussianRational.coerce(alpha))
-        object.__setattr__(self, "beta", GaussianRational.coerce(beta))
-        object.__setattr__(self, "gamma", GaussianRational.coerce(gamma))
-        object.__setattr__(self, "delta", GaussianRational.coerce(delta))
+    def __post_init__(self):
+        for name in ("alpha", "beta", "gamma", "delta"):
+            object.__setattr__(self, name,
+                               GaussianRational.coerce(getattr(self, name)))
         if self.det.is_zero():
             raise ValueError("degenerate map")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MoebiusMap is immutable")
 
     @property
     def det(self) -> GaussianRational:
@@ -107,15 +101,6 @@ class MoebiusMap:
             self.gamma * other.alpha + self.delta * other.gamma,
             self.gamma * other.beta + self.delta * other.delta,
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, MoebiusMap):
-            return NotImplemented
-        return (self.alpha == other.alpha and self.beta == other.beta
-                and self.gamma == other.gamma and self.delta == other.delta)
-
-    def __hash__(self):
-        return hash((self.alpha, self.beta, self.gamma, self.delta))
 
     def __repr__(self):
         return (f"MoebiusMap({self.alpha}, {self.beta}, "

@@ -7,8 +7,7 @@ out the common factor of den and all the a and b, so equal polynomials
 have equal fields and all arithmetic runs on Python ints.
 GaussianRational appears only at the boundary: the constructor, `scale`,
 `const` and `monomial` accept GaussianRational, int or Fraction values,
-and `terms`, `ordered_terms`, `leading` and `const_value` return
-GaussianRationals.
+and `terms`, `ordered_terms` and `const_value` return GaussianRationals.
 
 The monomial order everywhere is graded lexicographic over the variable
 positions, which fixes leading terms, printing order, and the normal form
@@ -192,12 +191,6 @@ class Poly:
         """Terms sorted descending in graded lex order."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
-    def leading(self) -> tuple:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading term")
-        exps, (a, b) = _lead(self)
-        return exps, _scalar(a, b, self.den)
-
     # -- arithmetic ---------------------------------------------------
 
     def _check(self, other: "Poly"):
@@ -281,10 +274,6 @@ class Poly:
             if k:
                 terms[exps[:idx] + (k - 1,) + exps[idx + 1:]] = (a * k, b * k)
         return _reduced(self.nvars, terms, self.den)
-
-    def homogeneous_part(self, k: int) -> "Poly":
-        return _reduced(self.nvars, {e: c for e, c in self.coeffs.items()
-                                     if sum(e) == k}, self.den)
 
     def conjugate(self, perm: tuple) -> "Poly":
         """Conjugate coefficients and permute variable slots by perm."""

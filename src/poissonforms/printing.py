@@ -28,7 +28,7 @@ def _monomial_str(names, exps, c: GaussianRational) -> str:
         if k
     )
     if not vars_part:
-        return _scalar_factor(c) if (c.re and c.im) else str(c)
+        return _scalar_factor(c)
     if c == 1:
         return vars_part
     if c == -1:
@@ -36,29 +36,21 @@ def _monomial_str(names, exps, c: GaussianRational) -> str:
     return f"{_scalar_factor(c)}*{vars_part}"
 
 
+def _signed_join(terms) -> str:
+    """Join rendered terms, at least one, into a sum: a later term's
+    leading minus becomes its " - " separator."""
+    terms = iter(terms)
+    out = [next(terms)]
+    for s in terms:
+        out.append(" - " + s[1:] if s.startswith("-") else " + " + s)
+    return "".join(out)
+
+
 def poly_str(p: Poly, names) -> str:
     if p.is_zero():
         return "0"
-    parts = []
-    for exps, c in p.ordered_terms():
-        s = _monomial_str(names, exps, c)
-        if not parts:
-            parts.append(s)
-        elif s.startswith("-"):
-            parts.append(" - " + s[1:])
-        else:
-            parts.append(" + " + s)
-    return "".join(parts)
-
-
-def _needs_parens_as_num(p: Poly) -> bool:
-    return p.nterms() > 1
-
-
-def _needs_parens_as_den(p: Poly, names) -> bool:
-    if p.nterms() > 1:
-        return True
-    return "*" in poly_str(p, names)
+    return _signed_join(_monomial_str(names, exps, c)
+                        for exps, c in p.ordered_terms())
 
 
 def ratexpr_str(r: RatExpr) -> str:
@@ -67,9 +59,9 @@ def ratexpr_str(r: RatExpr) -> str:
         return poly_str(r.num, names)
     num = poly_str(r.num, names)
     den = poly_str(r.den, names)
-    if _needs_parens_as_num(r.num) or num.startswith("-"):
+    if r.num.nterms() > 1 or num.startswith("-"):
         num = f"({num})"
-    if _needs_parens_as_den(r.den, names):
+    if r.den.nterms() > 1 or "*" in den:
         den = f"({den})"
     return f"{num}/{den}"
 
@@ -81,29 +73,23 @@ def _coeff_factor(r: RatExpr) -> str:
     return s
 
 
+def _form_term_str(names, idxs: tuple, coeff: RatExpr) -> str:
+    if not idxs:
+        return ratexpr_str(coeff)
+    basis = "^".join(f"d[{names[j]}]" for j in idxs)
+    if coeff == 1:
+        return basis
+    if coeff == -1:
+        return "-" + basis
+    return f"{_coeff_factor(coeff)}*{basis}"
+
+
 def form_str(form) -> str:
     """Render a differential form; degree parts ascending, index tuples in
     lexicographic order inside each degree."""
-    names = form.chart.names
-    items = sorted(form.parts.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    if not items:
+    if not form.parts:
         return "0"
-    parts = []
-    for idxs, coeff in items:
-        if not idxs:
-            s = ratexpr_str(coeff)
-        else:
-            basis = "^".join(f"d[{names[j]}]" for j in idxs)
-            if coeff == 1:
-                s = basis
-            elif coeff == -1:
-                s = "-" + basis
-            else:
-                s = f"{_coeff_factor(coeff)}*{basis}"
-        if not parts:
-            parts.append(s)
-        elif s.startswith("-"):
-            parts.append(" - " + s[1:])
-        else:
-            parts.append(" + " + s)
-    return "".join(parts)
+    names = form.chart.names
+    return _signed_join(
+        _form_term_str(names, idxs, coeff) for idxs, coeff in
+        sorted(form.parts.items(), key=lambda kv: (len(kv[0]), kv[0])))

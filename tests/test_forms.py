@@ -121,6 +121,10 @@ def test_bidegree(czx):
     assert parse_form("zb + z*d[z]^d[zb] + d[zb]", czx).bidegrees() == {
         (0, 0), (1, 1), (0, 1)}
     assert DiffForm.zero(czx).bidegrees() == set()
+    every = parse_form("zb + z*d[z] - d[zb] + z*zb*d[z]^d[zb]", czx)
+    assert every.bidegrees() == {(0, 0), (1, 0), (0, 1), (1, 1)}
+    assert sum((every.bidegree_part(*pq) for pq in every.bidegrees()),
+               DiffForm.zero(czx)) == every
     assert DiffForm.zero(czx).bidegree() == (0, 0)
 
 

@@ -298,6 +298,9 @@ def test_metric_validation():
     ch = Chart(("q", "p"))
     with pytest.raises(ValueError):
         Metric(ch, [["0", "1"], ["2", "0"]])
+    with pytest.raises(ValueError, match=r"h is not symmetric at \(1,2\)"):
+        Metric(Chart(("x", "y", "w")),
+               [["1", "2", "0"], ["2", "0", "x"], ["0", "y", "0"]])
     m = Metric(ch, [["0", "0"], ["0", "0"]])
     assert m.hinv is None
     s = PoissonStructure(ch, darboux_p(ch))

@@ -54,6 +54,18 @@ def _unused_imports(source: str) -> list:
     return [name for name in bound if name not in read]
 
 
+def _outside_imports(source: str) -> set:
+    """The modules outside the package that `source` imports, by their
+    top-level name, wherever the import is made."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out - {"poissonforms"}
+
+
 def _readers(module: str, source: str, name: str) -> set:
     """The top-level definitions of `source`, the text of `module`, that
     read `name` under any name it is imported as, each as
@@ -112,14 +124,21 @@ def test_unused_imports_are_found():
 
 def test_law_arguments_have_one_walk():
     """The generators and the sample stream are walked in `bracket`
-    (`_law_arguments`); the realization checks draw single forms."""
-    def readers(name):
-        return {r for module in LAYERS for r in _readers(
-            module, (SRC / f"{module}.py").read_text(), name)}
+    (`_law_arguments`, `_realization_arguments`), the one module that
+    draws samples.  `__init__` imports `random_scalar` only to export
+    it, which reads no name."""
+    def source(module):
+        return (SRC / f"{module}.py").read_text()
 
-    assert {r.split(".")[0] for r in readers("_generators")} == {"bracket"}
-    assert {r for r in readers("_samples") if not r.startswith("bracket.")
-            } == {"canonical._check_realizations"}
+    def reading_modules(name):
+        return {r.split(".")[0] for module in LAYERS
+                for r in _readers(module, source(module), name)}
+
+    assert reading_modules("_generators") == {"bracket"}
+    assert reading_modules("_samples") == {"bracket"}
+    assert reading_modules("random_scalar") == {"bracket"}
+    assert [m for m in LAYERS if "random" in _outside_imports(source(m))
+            ] == ["bracket"]
 
 
 def test_readers_are_found():
@@ -129,3 +148,7 @@ def test_readers_are_found():
               "h = _generators\n")
     assert _readers("m", source, "_samples") == {"m.f"}
     assert _readers("m", source, "_generators") == {"m.C", "m"}
+    assert _outside_imports("import random\nfrom os.path import join\n"
+                            "from . import x\nimport poissonforms.forms\n"
+                            "def f():\n    from random import Random\n"
+                            ) == {"random", "os"}

@@ -104,7 +104,7 @@ def _assert_is_fraction(got: RatExpr, num, den, ring):
     n, d = _ring_pair(got, ring)
     assert n * den == num * d
     assert n.gcd(d).is_ground
-    assert got.den.leading()[1].is_one()
+    assert got.den.is_monic()
 
 
 def _is_constant(expr) -> bool:
@@ -118,7 +118,7 @@ def _assert_agrees(got: RatExpr, want, symbols=SYMBOLS):
     num, den = _sym_poly(got.num, symbols), _sym_poly(got.den, symbols)
     assert sympy.expand(num * want_den - want_num * den) == 0
     assert _is_constant(sympy.cancel(den / want_den))
-    assert got.den.leading()[1].is_one()
+    assert got.den.is_monic()
 
 
 _monomials = _polys(2, 1, nonzero=True)
@@ -202,7 +202,7 @@ def test_poly_gcd_and_divexact_in_three_variables(p, q, c, content):
         if p.is_zero() and q.is_zero():
             continue
         g = poly_gcd(p, q)
-        assert g.leading()[1].is_one()
+        assert g.is_monic()
         rp, rq, rg = (_ring_poly(f, RING3) for f in (p, q, g))
         assert rg.monic() == rp.gcd(rq).monic()
         for f, rf in ((p, rp), (q, rq)):
@@ -215,7 +215,7 @@ def test_poly_gcd_matches_sympy(p, q, c):
     p, q = p * c, q * c
     assume(not (p.is_zero() and q.is_zero()))
     g = poly_gcd(p, q)
-    assert g.leading()[1].is_one()
+    assert g.is_monic()
     want = sympy.gcd(_sym_poly(p), _sym_poly(q))
     assert _is_constant(_sym_poly(g) / want)
 

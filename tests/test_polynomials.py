@@ -29,7 +29,7 @@ def test_pow_and_leading():
     x, y = xy()
     p = (x + y) ** 3
     assert p.terms[(2, 1)] == 3
-    exps, c = (x * x + x * y + y).leading()
+    exps, c = (x * x + x * y + y).ordered_terms()[0]
     assert exps == (2, 0) and c == 1
 
 
@@ -61,14 +61,6 @@ def test_deriv():
     assert p.deriv(0) == x * x * y.scale(3) + Poly.const(2, 5)
     assert p.deriv(1) == x ** 3
     assert Poly.const(2, 7).deriv(0).is_zero()
-
-
-def test_homogeneous_part():
-    x, y = xy()
-    p = x ** 3 + x * y + Poly.const(2, 4)
-    assert p.homogeneous_part(3) == x ** 3
-    assert p.homogeneous_part(2) == x * y
-    assert p.homogeneous_part(1).is_zero()
 
 
 def test_conjugate_with_pairing():
@@ -186,7 +178,7 @@ def test_equal_values_built_differently_are_equal(p, q, r):
     assert left == right and hash(left) == hash(right)
     assert (p - q) + q == p and hash((p - q) + q) == hash(p)
     for got in (p, p * q, left, p - p, -p, p.deriv(0), p.monic(),
-                p.homogeneous_part(2), p.conjugate((1, 0))):
+                p.conjugate((1, 0))):
         assert_normal(got)
 
 
@@ -224,7 +216,7 @@ def test_boundary_values_are_gaussian_rationals():
     p = Poly(2, {(1, 0): half, (0, 0): Fraction(3, 4), (0, 1): 0})
     assert p.den == 12 and p.coeffs == {(1, 0): (6, -4), (0, 0): (9, 0)}
     assert p.terms == {(1, 0): half, (0, 0): GaussianRational(Fraction(3, 4))}
-    assert p.leading() == ((1, 0), half)
+    assert p.ordered_terms()[0] == ((1, 0), half)
     assert p.nterms() == 2
     assert Poly.const(2, half).const_value() == half
     assert Poly.zero(2).den == 1 and Poly.zero(2).const_value() == 0
