@@ -24,6 +24,14 @@ of the single forms that the realization checks of `canonical` and
 once.  The bracket keeps no derivatives itself: the table
 (dx^a, dx^b) is the d that the one-form (x^a, dx^b) keeps, and
 (c, dx^j) reads the derivatives that c keeps.
+
+A structure keeps one object per form value at the bracket boundary:
+each argument is mapped, by its id, to the one canonical form with its
+value, and each computed bracket becomes the canonical form of its
+value.  Memo keys then compare by identity, a nested bracket meets its
+inner result by identity, and the d that one form keeps serves every
+equal form.  An argument is validated the first time it is seen; forms
+are immutable, so later calls need no check.
 """
 
 from __future__ import annotations
@@ -35,10 +43,9 @@ from itertools import product
 from .forms import DiffForm, _signed_sum
 from .geometry import Tensor, _as_tensor, _first_failure, coord_signature
 from .linalg import _contract
-from .polynomials import Poly
+from .polynomials import _raw
 from .ratexpr import Chart, RatExpr
 from .report import VerificationReport
-from .scalars import GaussianRational
 
 
 class PoissonStructure:
@@ -65,10 +72,13 @@ class PoissonStructure:
         udd = coord_signature("udd")
         self.Gamma = (Tensor._of(chart, udd, {}) if Gamma is None
                       else _as_tensor(chart, udd, Gamma))
-        self._rows = {a for a, _ in P.components}
-        self._cols = {b for _, b in P.components}
         self._xd = None
         self._brackets = {}
+        # form -> the canonical form of its value; id(argument) ->
+        # (argument, canonical form), holding the argument so that its
+        # id is not reused while the structure lives.
+        self._by_value = {}
+        self._by_id = {}
 
     @property
     def n(self) -> int:
@@ -97,11 +107,9 @@ class PoissonStructure:
 
     def bracket_scalars(self, f: RatExpr, g: RatExpr) -> RatExpr:
         out = RatExpr.zero(self.chart)
-        df = {a: f.diff(a) for a in self._rows}
-        dg = {b: g.diff(b) for b in self._cols}
         for (a, b), p in self.P.components.items():
-            if not (df[a].is_zero() or dg[b].is_zero()):
-                out = out + p * df[a] * dg[b]
+            if (fa := f.diff(a)) and (gb := g.diff(b)):
+                out = out + p * fa * gb
         return out
 
     def _with_dx(self, c: RatExpr, j: int) -> dict:
@@ -121,15 +129,26 @@ class PoissonStructure:
 
     def bracket(self, f: DiffForm, g: DiffForm) -> DiffForm:
         """Bracket of two forms, bilinear over monomial terms.  Each result
-        is kept for the life of the structure: forms are immutable and
-        canonical, so equal arguments have equal brackets."""
-        f = self._as_form(f)
-        g = self._as_form(g)
+        is kept for the life of the structure, keyed by the canonical
+        forms of the arguments: forms are immutable and canonical, so
+        equal arguments have equal brackets."""
+        by_id = self._by_id
+        hit = by_id.get(id(f))
+        f = self._canonical(f) if hit is None else hit[1]
+        hit = by_id.get(id(g))
+        g = self._canonical(g) if hit is None else hit[1]
         key = (f, g)
         out = self._brackets.get(key)
         if out is None:
-            out = _signed_sum(self.chart, self._expand(f, g))
+            out = self._canonical(_signed_sum(self.chart, self._expand(f, g)))
             self._brackets[key] = out
+        return out
+
+    def _canonical(self, f) -> DiffForm:
+        """The canonical form of the value of f, a form not seen by id
+        before: validates f and records it in both tables."""
+        out = self._by_value.setdefault(self._as_form(f), f)
+        self._by_id[id(f)] = (f, out)
         return out
 
     def _as_form(self, f) -> DiffForm:
@@ -172,29 +191,37 @@ class SamplePlan:
 
 
 def random_scalar(chart: Chart, rng: random.Random, degree: int) -> RatExpr:
-    """Random polynomial with small integer (or Gaussian integer) coefficients."""
+    """Random polynomial with small integer (or Gaussian integer)
+    coefficients: one to three monomials, summed into one Poly of
+    Gaussian-integer coefficients (a, b) over denominator 1, with those
+    that cancel dropped."""
     n = chart.n
-    out = RatExpr.zero(chart)
+    coeffs = {}
     for _ in range(rng.randint(1, 3)):
         exps = [0] * n
         for _ in range(rng.randint(0, degree)):
             exps[rng.randrange(n)] += 1
-        c = rng.randint(-3, 3)
+        a = rng.randint(-3, 3)
+        b = 0
         if chart.is_complex() and rng.random() < 0.4:
-            coeff = GaussianRational(c, rng.randint(-2, 2))
-        else:
-            coeff = GaussianRational(c)
-        out = out + RatExpr(chart, Poly.monomial(n, tuple(exps), coeff))
-    return out
+            b = rng.randint(-2, 2)
+        e = tuple(exps)
+        a0, b0 = coeffs.get(e, (0, 0))
+        coeffs[e] = (a0 + a, b0 + b)
+    poly = _raw(n, {e: c for e, c in coeffs.items() if c != (0, 0)}, 1)
+    return RatExpr._of(chart, poly, chart.unit)
 
 
 def random_form(chart: Chart, rng: random.Random, degree: int, form_degree: int) -> DiffForm:
-    out = DiffForm.zero(chart)
+    """One or two terms of degree form_degree with random_scalar
+    coefficients, summed into one form."""
+    parts = {}
     n = chart.n
     for _ in range(rng.randint(1, 2)):
         idxs = tuple(sorted(rng.sample(range(n), form_degree)))
-        out = out + DiffForm.monomial(random_scalar(chart, rng, degree), idxs)
-    return out
+        c = random_scalar(chart, rng, degree)
+        parts[idxs] = parts[idxs] + c if idxs in parts else c
+    return DiffForm(chart, parts)
 
 
 def _samples(chart: Chart, rng: random.Random, plan: SamplePlan, arity: int):

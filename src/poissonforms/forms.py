@@ -285,8 +285,8 @@ class DiffForm:
         return self.chart == other.chart and self.parts == other.parts
 
     def __hash__(self):
-        # Cached: brackets are memoized on forms, which hashes the same
-        # generator and inner-bracket forms thousands of times.
+        # Kept: the bracket's value table hashes each form it has not
+        # seen by id, and every memo lookup hashes its key's two forms.
         if self._hash is None:
             h = hash((self.chart, frozenset(self.parts.items())))
             object.__setattr__(self, "_hash", h)

@@ -5,12 +5,15 @@ import random
 import pytest
 
 from poissonforms.bracket import (PoissonStructure, SamplePlan, _generators,
-                                  _samples, verify_axioms)
+                                  _samples, random_form, random_scalar,
+                                  verify_axioms)
 from poissonforms.complexforms import verify_complex_axioms
 from poissonforms.forms import DiffForm
 from poissonforms.onedim import HermitianTriple, build_one_dim
 from poissonforms.parsing import parse_form, parse_scalar
+from poissonforms.polynomials import Poly
 from poissonforms.ratexpr import Chart, RatExpr
+from poissonforms.scalars import GaussianRational
 
 
 @pytest.fixture
@@ -213,7 +216,11 @@ def test_memo_computes_each_distinct_bracket_once():
 
 def test_generator_wedges_and_derivatives_are_built_once(monkeypatch):
     """64 generator pair wedges plus br(f, g) * h and g * br(f, h) for each
-    of the 512 triples; d of each distinct form once."""
+    of the 512 triples.  d of each distinct form once, 8 + 3 + 16 = 27:
+    one d per generator, in the d-Leibniz law; one per distinct value
+    among the 64 generator-pair brackets (0, 1 and -1), since each
+    bracket result is the one canonical form of its value and keeps its
+    d; and one per (x^a, dx^b) table form, whose d is (dx^a, dx^b)."""
     calls = collections.Counter()
     for name in ("__mul__", "partial_d"):
         method = getattr(DiffForm, name)
@@ -224,7 +231,7 @@ def test_generator_wedges_and_derivatives_are_built_once(monkeypatch):
 
         monkeypatch.setattr(DiffForm, name, counted)
     assert verify_axioms(_darboux4(), SamplePlan(count=0)).passed
-    assert calls == {"__mul__": 64 + 2 * 512, "partial_d": 88}
+    assert calls == {"__mul__": 64 + 2 * 512, "partial_d": 8 + 3 + 16}
 
 
 # SHA-256 of the sample stream at each arity: the realization checks draw
@@ -261,6 +268,105 @@ def test_memoized_brackets_equal_fresh_ones():
     assert st._brackets
     for (f, g), got in st._brackets.items():
         assert got == PoissonStructure(st.chart, st.P, st.Gamma).bracket(f, g)
+
+
+def test_equal_arguments_share_one_memo_entry(darboux):
+    ch = darboux.chart
+    f, f2 = (parse_form("q^2*d[p]", ch) for _ in range(2))
+    g, g2 = (parse_form("p*q", ch) for _ in range(2))
+    assert f is not f2 and g is not g2
+    out = darboux.bracket(f, g)
+    assert darboux.bracket(f2, g2) is out
+    assert darboux.bracket(f2, g) is out
+    assert len(darboux._brackets) == 1
+    assert darboux.bracket(g, darboux.bracket(f, g)) is darboux.bracket(
+        g2, darboux.bracket(f2, g2))
+
+
+def test_bad_arguments_are_refused_on_every_call(darboux):
+    f = parse_form("q*d[p]", darboux.chart)
+    other = DiffForm.coord(Chart(("u", "v")), 0)
+    for _ in range(3):
+        darboux.bracket(f, f)
+        with pytest.raises(TypeError):
+            darboux.bracket(f, 1)
+        with pytest.raises(TypeError):
+            darboux.bracket("q", f)
+        with pytest.raises(ValueError):
+            darboux.bracket(f, other)
+        with pytest.raises(ValueError):
+            darboux.bracket(other, f)
+
+
+def test_short_lived_arguments_never_hit_a_stale_id(darboux):
+    """About 1000 temporary forms, each dropped after its bracket.  Were
+    the id table not to hold its arguments, CPython would free them and
+    give their ids to later forms of other values."""
+    ch = darboux.chart
+    q, p = RatExpr.variable(ch, 0), RatExpr.variable(ch, 1)
+    for k in range(500):
+        f = DiffForm.monomial(q * k + p, (k % 2,) if k % 3 else ())
+        g = DiffForm.monomial(p * (k % 7) - q * q, () if k % 5 else (0,))
+        fresh = PoissonStructure(ch, darboux.P).bracket(f, g)
+        assert darboux.bracket(f, g) == fresh
+
+
+def _replayed_scalar(chart, rng, degree, seen):
+    """random_scalar as a sum of one RatExpr per monomial, making the
+    same draws.  Adds "zero" to `seen` for a drawn zero coefficient and
+    "cancel" for a monomial that cancels an earlier one."""
+    n = chart.n
+    out = RatExpr.zero(chart)
+    drawn = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * n
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(n)] += 1
+        c = rng.randint(-3, 3)
+        if chart.is_complex() and rng.random() < 0.4:
+            coeff = GaussianRational(c, rng.randint(-2, 2))
+        else:
+            coeff = GaussianRational(c)
+        e = tuple(exps)
+        if not coeff:
+            seen.add("zero")
+        elif drawn.get(e) and not drawn[e] + coeff:
+            seen.add("cancel")
+        drawn[e] = drawn.get(e, 0) + coeff
+        out = out + RatExpr(chart, Poly.monomial(n, e, coeff))
+    return out
+
+
+def _replayed_form(chart, rng, degree, form_degree, seen):
+    """random_form as a sum of DiffForm.monomial terms, same draws."""
+    out = DiffForm.zero(chart)
+    for _ in range(rng.randint(1, 2)):
+        idxs = tuple(sorted(rng.sample(range(chart.n), form_degree)))
+        out = out + DiffForm.monomial(
+            _replayed_scalar(chart, rng, degree, seen), idxs)
+    return out
+
+
+@pytest.mark.parametrize("chart", [
+    _darboux4().chart, build_one_dim(HermitianTriple(1, 0, 1)).chart],
+    ids=["real4", "onedim"])
+def test_samples_are_built_in_one_pass_as_sums_were(chart):
+    seen = set()
+    for seed in range(200):
+        rng, old = random.Random(seed), random.Random(seed)
+        degree, form_degree = 1 + seed % 3, seed % 3
+        got = [random_scalar(chart, rng, degree),
+               random_form(chart, rng, degree, form_degree)]
+        want = [_replayed_scalar(chart, old, degree, seen),
+                _replayed_form(chart, old, degree, form_degree, seen)]
+        assert got == want
+        assert rng.getstate() == old.getstate()
+        scalar, form = got
+        assert all(form.parts.values())
+        for c in [scalar, *form.parts.values()]:
+            assert c.den.is_one() and c.num.den == 1
+            assert (0, 0) not in c.num.coeffs.values()
+    assert seen == {"zero", "cancel"}
 
 
 def test_complex_layer_reuses_generator_brackets():
