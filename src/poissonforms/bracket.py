@@ -21,9 +21,14 @@ and `verify_complex_axioms`, and `_realization_arguments` the one walk
 of the single forms that the realization checks of `canonical` and
 `complexforms` bracket with; this module alone draws samples.
 `verify_axioms` builds the wedge g * h of each distinct pair (g, h)
-once.  The bracket keeps no derivatives itself: the table
-(dx^a, dx^b) is the d that the one-form (x^a, dx^b) keeps, and
-(c, dx^j) reads the derivatives that c keeps.
+once.  The bracket keeps no derivatives or scalar tables itself: the
+table (dx^a, dx^b) is the d that the one-form (x^a, dx^b) keeps, and
+{b, a} and (c, dx^j) are never built.  Each of their terms goes to
+forms._signed_sum as the unbuilt product P[p, q] d_p b d_q a, or
+c' d_g c (x^g, dx^j)_d for the other coefficient c', with the
+derivatives that b, a and c keep; a term whose indices repeat is dropped
+there before its factors are multiplied.  `bracket_scalars` is the
+function part of the same {f, g} terms.
 
 A structure keeps one object per form value at the bracket boundary:
 each argument is mapped, by its id, to the one canonical form with its
@@ -106,24 +111,18 @@ class PoissonStructure:
         return self.coord_dx(a, b).ext_d()
 
     def bracket_scalars(self, f: RatExpr, g: RatExpr) -> RatExpr:
-        out = RatExpr.zero(self.chart)
+        """{f, g} = P[a, b] d_a f d_b g, the function part of the sum of
+        the same terms that the bracket of forms sums."""
+        terms = self._scalar_terms(f, g, (), 1)
+        return _signed_sum(self.chart, terms).scalar_part()
+
+    def _scalar_terms(self, f: RatExpr, g: RatExpr, idxs: tuple, s: int):
+        """The terms (idxs, s, (P[a, b], d_a f, d_b g)) of s {f, g} dx^idxs,
+        one for each entry of P; g's derivative is read only where f's is
+        nonzero."""
         for (a, b), p in self.P.components.items():
             if (fa := f.diff(a)) and (gb := g.diff(b)):
-                out = out + p * fa * gb
-        return out
-
-    def _with_dx(self, c: RatExpr, j: int) -> dict:
-        """(c, dx^j) for a function c as {(d,): coefficient}, by the chain
-        rule on coordinates; c keeps its derivatives."""
-        if self._xd is None:
-            self.coord_dx(j, j)
-        out = {}
-        for g, parts in self._xd_cols[j]:
-            if dc := c.diff(g):
-                for d, v in parts.items():
-                    t = dc * v
-                    out[d] = out[d] + t if d in out else t
-        return out
+                yield idxs, s, (p, fa, gb)
 
     # -- full bracket ----------------------------------------------------
 
@@ -161,19 +160,30 @@ class PoissonStructure:
     def _expand(self, f: DiffForm, g: DiffForm):
         """The terms of (a dxI, b dxJ) in the module docstring over the
         monomials of f and g, as (indices, sign, factors) for
-        forms._signed_sum."""
+        forms._signed_sum, each a product of coefficients, derivatives
+        and table entries: P[p, q] d_p b d_q a for {b, a}, and
+        a d_g b (x^g, dx^i)_d and b d_g a (x^g, dx^j)_d for (b, dx^i) and
+        (a, dx^j)."""
+        if self._xd is None:
+            self.coord_dx(0, 0)
+        cols = self._xd_cols
         for (I, a), (J, b) in product(f.parts.items(), g.parts.items()):
             if not set(I).intersection(J):  # else dx^I dx^J = 0: no {b, a}
-                yield I + J, -1, (self.bracket_scalars(b, a),)
+                yield from self._scalar_terms(b, a, I + J, -1)
             for k, i in enumerate(I):
-                for d, v in self._with_dx(b, i).items():
-                    yield I[:k] + d + I[k + 1:] + J, -1, (a, v)
+                lo, hi = I[:k], I[k + 1:] + J
+                for gi, parts in cols[i]:
+                    if db := b.diff(gi):
+                        for d, v in parts.items():
+                            yield lo + d + hi, -1, (a, db, v)
             s = 1 if len(I) % 2 else -1
             for l, j in enumerate(J):
                 lo, hi = J[:l], J[l + 1:]
                 sl = -s if len(I) * l % 2 else s
-                for d, v in self._with_dx(a, j).items():
-                    yield lo + d + I + hi, -sl, (b, v)
+                for gj, parts in cols[j]:
+                    if da := a.diff(gj):
+                        for d, v in parts.items():
+                            yield lo + d + I + hi, -sl, (b, da, v)
                 for k, i in enumerate(I):
                     for pq, w in self.dx_dx(j, i).parts.items():
                         yield (lo + I[:k] + pq + I[k + 1:] + hi,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .bracket import PoissonStructure
 from .canonical import CanonicalConstants
 from .ratexpr import Chart
-from .scalars import GaussianRational
+from .scalars import GaussianRational, rational_str
 
 MAX_DIM = 32
 
@@ -63,7 +63,7 @@ def rational_from_str(text, what: str = "value") -> Fraction:
 
 
 def scalar_to_dict(v: GaussianRational) -> dict:
-    return {"re": str(v.re), "im": str(v.im)}
+    return {"re": rational_str(v.re), "im": rational_str(v.im)}
 
 
 def scalar_from_dict(d, what: str = "value") -> GaussianRational:

@@ -5,15 +5,22 @@ the empty tuple holds the function part.  Mixed-degree sums are allowed,
 graded operations split them into homogeneous parts.  A sum of terms
 c dx^i ^ dx^j ^ ... with indices in any order is one `_signed_sum`: each
 index tuple is sorted by `sort_indices`, whose permutation sign is the
-wedge sign.  Sums and wedge products of forms are such sums too, except
-where an operand is zero: a sum is then the other operand (negated for
-0 - f) and a wedge product is zero, with no sum built.  A form keeps its
-exterior derivative from the first call of `ext_d` on, in a slot left
-unset until then; forms are immutable, so the kept value stays right.
+wedge sign.  The terms whose factors are all polynomials, each with the
+chart's one `unit` as denominator, are multiplied and added on integer
+coefficients into one PolySum per sorted index tuple, and each PolySum
+is reduced once, at the end: no polynomial or RatExpr is built per term.
+Other terms, with rational functions or scalars among their factors,
+are RatExpr products and sums.  Sums and wedge products of forms are
+such sums too, except where an operand is zero: a sum is then the other
+operand (negated for 0 - f) and a wedge product is zero, with no sum
+built.  A form keeps its exterior derivative from the first call of
+`ext_d` on, in a slot left unset until then; forms are immutable, so
+the kept value stays right.
 """
 
 from __future__ import annotations
 
+from .polynomials import PolySum
 from .printing import form_str
 from .ratexpr import Chart, RatExpr
 from .scalars import SCALARS
@@ -41,18 +48,39 @@ def sort_indices(idxs: tuple):
 def _signed_sum(chart: Chart, terms) -> "DiffForm":
     """The form summing s * f1 * f2 * ... dx^idxs[0] ^ dx^idxs[1] ^ ...
     over the terms (idxs, s, (f1, f2, ...)) with s = 1 or -1; a term with
-    a repeated index is zero, and its factors are not multiplied."""
-    acc = {}
+    a repeated index is zero, and its factors are not multiplied.  A term
+    whose factors are all polynomials, RatExprs over chart.unit, is
+    multiplied and added on integer coefficients into one PolySum per
+    sorted index tuple, reduced once at the end; any other term is a
+    RatExpr product added to a RatExpr sum."""
+    unit = chart.unit
+    polys = {}
+    sums = {}
     for idxs, s, factors in terms:
         sign, key = sort_indices(idxs) if len(idxs) > 1 else (1, idxs)
-        if sign:
-            c = factors[0]
-            for m in factors[1:]:
-                c = c * m
-            if sign != s:
-                c = -c
-            acc[key] = acc[key] + c if key in acc else c
-    return DiffForm._of(chart, {key: c for key, c in acc.items() if c})
+        if not sign:
+            continue
+        nums = []
+        for f in factors:
+            if f.__class__ is not RatExpr or f.den is not unit:
+                break
+            nums.append(f.num)
+        else:
+            acc = polys.get(key)
+            if acc is None:
+                polys[key] = acc = PolySum(chart.n)
+            acc.add_product(nums, sign * s)
+            continue
+        c = factors[0]
+        for m in factors[1:]:
+            c = c * m
+        if sign != s:
+            c = -c
+        sums[key] = sums[key] + c if key in sums else c
+    for key, acc in polys.items():
+        c = RatExpr._of(chart, acc.value(), unit)
+        sums[key] = sums[key] + c if key in sums else c
+    return DiffForm._of(chart, {key: c for key, c in sums.items() if c})
 
 
 class DiffForm:

@@ -97,6 +97,28 @@ def _merge(terms: dict, coeffs: dict, m: int) -> None:
                 del terms[e]
 
 
+def _mul_add(terms: dict, c1: dict, c2: dict, m: int) -> None:
+    """Add m * c1 * c2 into terms in place, dropping entries that cancel:
+    the one loop that multiplies coefficient dicts."""
+    get = terms.get
+    for e1, (a1, b1) in c1.items():
+        if m != 1:
+            a1 *= m
+            b1 *= m
+        for e2, (a2, b2) in c2.items():
+            e = tuple(map(add, e1, e2))
+            a = a1 * a2 - b1 * b2
+            b = a1 * b2 + b1 * a2
+            s = get(e)
+            if s is not None:
+                a += s[0]
+                b += s[1]
+                if not (a or b):
+                    del terms[e]
+                    continue
+            terms[e] = (a, b)
+
+
 class Poly:
     """Sparse polynomial in a fixed number of variables."""
 
@@ -232,23 +254,9 @@ class Poly:
             ((e2, (a2, b2)),) = oc.items()
             terms = {tuple(map(add, e1, e2)): (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
                      for e1, (a1, b1) in sc.items()}
-            return _reduced(self.nvars, terms, self.den * other.den)
-        terms: dict = {}
-        get = terms.get
-        cancelled = False
-        for e1, (a1, b1) in sc.items():
-            for e2, (a2, b2) in oc.items():
-                e = tuple(map(add, e1, e2))
-                a = a1 * a2 - b1 * b2
-                b = a1 * b2 + b1 * a2
-                s = get(e)
-                if s is not None:
-                    a += s[0]
-                    b += s[1]
-                    cancelled = cancelled or not (a or b)
-                terms[e] = (a, b)
-        if cancelled:
-            terms = {e: c for e, c in terms.items() if c[0] or c[1]}
+        else:
+            terms = {}
+            _mul_add(terms, sc, oc, 1)
         return _reduced(self.nvars, terms, self.den * other.den)
 
     def scale(self, c) -> "Poly":
@@ -363,8 +371,11 @@ class Poly:
 
 
 class PolySum:
-    """A running sum of polynomials, added to in place, so that each
-    addition costs the size of the addend rather than of the sum."""
+    """A running sum of polynomials and of products of polynomials, added
+    to in place, so that each addition costs the size of the addend
+    rather than of the sum.  A product is multiplied on the coefficient
+    dicts of its factors, the last factor straight into the sum: no Poly
+    is built until `value`."""
 
     __slots__ = ("nvars", "coeffs", "den")
 
@@ -375,13 +386,30 @@ class PolySum:
 
     def add(self, p: Poly, sign: int = 1) -> None:
         """Add sign * p."""
-        p._check(self)
-        if self.den % p.den:
-            den = lcm(self.den, p.den)
-            m = den // self.den
+        self.add_product((p,), sign)
+
+    def add_product(self, polys, sign: int = 1) -> None:
+        """Add sign * polys[0] * polys[1] * ..., for one or more factors."""
+        for p in polys:
+            p._check(self)
+        coeffs, den = polys[0].coeffs, polys[0].den
+        last = polys[-1] if len(polys) > 1 else None
+        for p in polys[1:-1]:
+            prod = {}
+            _mul_add(prod, coeffs, p.coeffs, 1)
+            coeffs, den = prod, den * p.den
+        if last is not None:
+            den *= last.den
+        if self.den % den:
+            total = lcm(self.den, den)
+            m = total // self.den
             self.coeffs = {e: (a * m, b * m) for e, (a, b) in self.coeffs.items()}
-            self.den = den
-        _merge(self.coeffs, p.coeffs, sign * (self.den // p.den))
+            self.den = total
+        m = sign * (self.den // den)
+        if last is None:
+            _merge(self.coeffs, coeffs, m)
+        else:
+            _mul_add(self.coeffs, coeffs, last.coeffs, m)
 
     def nterms(self) -> int:
         return len(self.coeffs)

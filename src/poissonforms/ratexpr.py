@@ -21,10 +21,13 @@ a/b and c/d:
 The product and the sum are the only places a gcd is taken.  Powers and
 conjugates of a reduced fraction are reduced, so they are at most made
 monic, and the derivative of a fraction is the quotient (a'b - ab')/b^2,
-reduced by the constructor.  An expression keeps each derivative it
-has computed, by variable index, so `diff` runs once per expression and
-variable; the slot stays unset until the first call, and building an
-expression costs nothing for it.
+reduced by the constructor.  Every polynomial expression, one whose
+denominator is the constant 1, has its chart's one `Chart.unit` as that
+denominator, also where a fraction cancels to a polynomial: forms tell
+polynomial coefficients apart by that identity.  An expression keeps
+each derivative it has computed, by variable index, so `diff` runs once
+per expression and variable; the slot stays unset until the first call,
+and building an expression costs nothing for it.
 Charts carry the coordinate names plus, for complex charts, the pairing
 that drives conjugation.
 """
@@ -223,7 +226,8 @@ class RatExpr:
         g2 = _common(t, g)
         if g2 is None:
             return RatExpr._of(chart, t, s * d)
-        return RatExpr._of(chart, t.divexact(g2), s * d.divexact(g2))
+        return RatExpr._of(chart, t.divexact(g2),
+                           _shared_unit(chart, s * d.divexact(g2)))
 
     __radd__ = __add__
 
@@ -270,7 +274,7 @@ class RatExpr:
             a, d = a.divexact(g1), d.divexact(g1)
         g2 = _common(c, b)
         if g2 is not None:
-            c, b = c.divexact(g2), b.divexact(g2)
+            c, b = c.divexact(g2), _shared_unit(self.chart, b.divexact(g2))
         return RatExpr._of(self.chart, _times(a, c), _times(b, d))
 
     def __rtruediv__(self, other):
@@ -285,8 +289,10 @@ class RatExpr:
         if n < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
-            return RatExpr._of(self.chart, *_monic(self.den ** -n, self.num ** -n))
-        return RatExpr._of(self.chart, self.num ** n, self.den ** n)
+            num, den = _monic(self.den ** -n, self.num ** -n)
+        else:
+            num, den = self.num ** n, self.den ** n
+        return RatExpr._of(self.chart, num, _shared_unit(self.chart, den))
 
     def diff(self, which) -> "RatExpr":
         """The partial derivative along a coordinate, kept in the slot _d
@@ -310,8 +316,8 @@ class RatExpr:
         """Conjugation is a ring automorphism, so the conjugate of a reduced
         fraction is reduced; only its denominator is made monic again."""
         perm = self.chart.conj_perm()
-        return RatExpr._of(self.chart, *_monic(self.num.conjugate(perm),
-                                                self.den.conjugate(perm)))
+        num, den = _monic(self.num.conjugate(perm), self.den.conjugate(perm))
+        return RatExpr._of(self.chart, num, _shared_unit(self.chart, den))
 
     # -- comparison ---------------------------------------------------
 
@@ -339,6 +345,12 @@ def _common(p: Poly, q: Poly):
         return None
     g = poly_gcd(p, q)
     return None if g.is_const() else g
+
+
+def _shared_unit(chart: Chart, den: Poly) -> Poly:
+    """den, a monic denominator, or chart.unit when den is the constant 1:
+    the rule that keeps every polynomial on the chart's one unit."""
+    return chart.unit if den.is_const() else den
 
 
 def _monic(p: Poly, q: Poly) -> tuple:

@@ -155,11 +155,11 @@ class GaussianRational:
 
     def __str__(self) -> str:
         if not self.im:
-            return str(self.re)
+            return rational_str(self.re)
         if not self.re:
             return _imag_str(self.im)
         sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{_imag_str(abs(self.im))}"
+        return f"{rational_str(self.re)}{sign}{_imag_str(abs(self.im))}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -170,7 +170,29 @@ def _imag_str(b: Fraction) -> str:
         return "i"
     if b == -1:
         return "-i"
-    return f"{b}*i"
+    return f"{rational_str(b)}*i"
+
+
+def rational_str(q: Fraction) -> str:
+    """str(q), for a rational of any size: the one way numbers are
+    written out.  Python refuses str() of an int past its digit limit
+    (sys.get_int_max_str_digits()), which keeps huge literals out of the
+    input; a result that grows past it is still written in full."""
+    if q.denominator == 1:
+        return _int_str(q.numerator)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
+
+
+def _int_str(n: int) -> str:
+    """str(n) for an int of any size, by halving the digit string until
+    each part is below the least digit limit Python allows (640)."""
+    if n.bit_length() <= 2000:  # at most 603 digits
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits of n
+    hi, lo = divmod(n, 10 ** k)
+    return _int_str(hi) + _int_str(lo).zfill(k)
 
 
 # The exact scalars: the operands GaussianRational arithmetic takes, and

@@ -2,13 +2,15 @@
 from their definitions, random polynomial connections, polynomial
 coordinate changes with exact inverses, and the dense nested-list linear
 algebra the package used before its matrices became dicts of nonzero
-entries.  Dense tensors (`tensor_from_fn`, `to_lists`) and substitution
-into rational expressions (`subst`, `eval_at`) live here too: only the
+entries.  Dense tensors (`tensor_from_fn`, `to_lists`), substitution
+into rational expressions (`subst`, `eval_at`) and the pairwise signed
+sum of form terms (`pairwise_signed_sum`) live here too: only the
 oracles use them."""
 
 import random
 
 from poissonforms.bracket import PoissonStructure, random_scalar
+from poissonforms.forms import DiffForm, sort_indices
 from poissonforms.geometry import (
     Tensor,
     coord_signature,
@@ -67,6 +69,23 @@ def _poly_subst(p, values, target):
                 term = term * powers[j, k]
         out = out + term
     return out
+
+
+def pairwise_signed_sum(chart, terms):
+    """The form forms._signed_sum builds from the same terms, computed as
+    it once was: each term one RatExpr product, added pairwise to the
+    running RatExpr of its sorted index tuple."""
+    acc = {}
+    for idxs, s, factors in terms:
+        sign, key = sort_indices(idxs)
+        if sign:
+            c = factors[0]
+            for m in factors[1:]:
+                c = c * m
+            if sign != s:
+                c = -c
+            acc[key] = acc[key] + c if key in acc else c
+    return DiffForm(chart, {key: c for key, c in acc.items() if c})
 
 
 def darboux_p(chart):

@@ -15,6 +15,8 @@ from poissonforms.polynomials import Poly
 from poissonforms.ratexpr import Chart, RatExpr
 from poissonforms.scalars import GaussianRational
 
+from identities import random_connection
+
 
 @pytest.fixture
 def darboux():
@@ -205,6 +207,42 @@ def _darboux4():
     return PoissonStructure(ch, P)
 
 
+@pytest.mark.parametrize("connection", [False, True])
+def test_polynomial_bracket_builds_no_expression_products(monkeypatch,
+                                                         connection):
+    """The bracket of two forms with polynomial coefficients, on Darboux-4
+    with Gamma = 0 or a polynomial Gamma, multiplies and sums all its
+    terms on integer coefficients: no RatExpr product or sum is taken
+    once the structure's tables are built."""
+    st = _darboux4()
+    ch, rng = st.chart, random.Random(7)
+    if connection:
+        st = random_connection(ch, rng)
+    f, g = (random_form(ch, rng, 2, 1) + random_form(ch, rng, 2, 2)
+            for _ in range(2))
+    want = st.bracket(f, g)
+    calls = collections.Counter()
+
+    def counted(name):
+        op = getattr(RatExpr, name)
+
+        def counting(self, other):
+            calls[name] += 1
+            return op(self, other)
+        return counting
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                 "__rsub__"):
+        monkeypatch.setattr(RatExpr, name, counted(name))
+    got = PoissonStructure(st.chart, st.P, st.Gamma)
+    for a in range(ch.n):
+        for b in range(ch.n):
+            got.dx_dx(a, b)
+    calls.clear()
+    assert got.bracket(f, g) == want
+    assert want and calls == {}
+
+
 def test_memo_computes_each_distinct_bracket_once():
     st = _darboux4()
     memo, pairs, calls = _watch(st)
@@ -388,7 +426,8 @@ def test_complex_layer_reuses_generator_brackets():
 
 def test_flat_bracket_differentiates_only_in_bracket_scalars(monkeypatch):
     """With Gamma = 0 every (c, dx^j) vanishes, so the bracket of two
-    forms differentiates their coefficients only to bracket functions."""
+    forms differentiates their coefficients only in its {b, a} terms:
+    every diff runs while the generator of those terms is stepped."""
     st = _darboux4()
     ch = st.chart
     inside, calls = [], collections.Counter()
@@ -398,17 +437,22 @@ def test_flat_bracket_differentiates_only_in_bracket_scalars(monkeypatch):
         calls["bracket_scalars" if inside else "elsewhere"] += 1
         return diff(self, which)
 
-    scalars = st.bracket_scalars
+    scalar_terms = st._scalar_terms
 
-    def watched_scalars(f, g):
-        inside.append(None)
-        try:
-            return scalars(f, g)
-        finally:
-            inside.pop()
+    def watched_terms(f, g, idxs, s):
+        terms = scalar_terms(f, g, idxs, s)
+        while True:
+            inside.append(None)
+            try:
+                term = next(terms, None)
+            finally:
+                inside.pop()
+            if term is None:
+                return
+            yield term
 
     monkeypatch.setattr(RatExpr, "diff", counted_diff)
-    st.bracket_scalars = watched_scalars
+    st._scalar_terms = watched_terms
     f = parse_form("q1*p2*d[q1]^d[p1]", ch)
     g = parse_form("q2*p1*d[q2]^d[p2] + p1*d[q1]^d[q2]", ch)
     out = st.bracket(f, g)

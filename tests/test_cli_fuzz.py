@@ -7,6 +7,7 @@ hang.  The examples are derandomized, so a run is reproducible.
 """
 
 import json
+import sys
 import time
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -26,11 +27,11 @@ def _check(capsys, argv):
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err
     assert time.monotonic() - start < BOUND_S, argv
-    return code, err
+    return code, err, out
 
 
 def _object_text(pairs) -> str:
@@ -181,7 +182,7 @@ def test_negative_power_of_zero_exits_two(tmp_path, capsys):
     an uncaught ZeroDivisionError."""
     path = _write(tmp_path, {"chart": {"coords": ["x", "y"], "kind": "real"},
                              "P": [["0", "0^-1"], ["-1", "0"]]})
-    code, err = _check(capsys, ["verify", path])
+    code, err, _ = _check(capsys, ["verify", path])
     assert code == 2
     assert "division by zero" in err
 
@@ -193,7 +194,41 @@ def test_exponent_notation_in_constants_exits_two(tmp_path, capsys):
         {"A": 0, "B": 1, "value": {"re": "1e5000000", "im": "0"}},
         {"A": 1, "B": 0, "value": {"re": "-1", "im": "0"}}]})
     start = time.monotonic()
-    code, err = _check(capsys, ["canonical", "check", path])
+    code, err, _ = _check(capsys, ["canonical", "check", path])
     assert time.monotonic() - start < 1.0
     assert code == 2
     assert "not an exact rational" in err
+
+
+def test_numbers_past_the_digit_limit_are_written_in_full(tmp_path, capsys):
+    """Python refuses str() of an int past 4300 digits.  A valid structure
+    whose residuals grow that long still fails its laws with exit 1 and
+    every digit written, in both formats; a literal that long in the
+    input is still refused with exit 2."""
+    n = "7" * 2500
+    path = _write(tmp_path, {"chart": {"coords": ["x", "y"]}, "P": [
+        ["0", f"({n})^2*x*y"], [f"-({n})^2*x*y", "0"]]})
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        square = str(int(n) ** 2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(square) > limit
+    residual = f"{square}*y*d[x] + {square}*x*d[y]"
+    code, err, out = _check(capsys, ["verify", path, "--count", "1"])
+    assert code == 1, err
+    assert (f"[FAIL] axiom-dleibniz at generators (x,y) residual={residual}\n"
+            in out)
+    code, err, out = _check(capsys, ["verify", path, "--count", "1",
+                                     "--format", "machine"])
+    assert code == 1, err
+    assert {"name": "axiom-dleibniz", "status": "fail",
+            "location": "generators (x,y)", "residual": residual
+            } in json.loads(out)["checks"]
+
+    path = _write(tmp_path, {"chart": {"coords": ["x", "y"]}, "P": [
+        ["0", f"{square}*x*y"], [f"-{square}*x*y", "0"]]})
+    code, err, _ = _check(capsys, ["verify", path, "--count", "1"])
+    assert code == 2
+    assert f"({limit} digits)" in err

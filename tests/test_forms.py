@@ -1,9 +1,15 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poissonforms.forms import DiffForm, sort_indices
+from poissonforms.forms import DiffForm, _signed_sum, sort_indices
 from poissonforms.parsing import parse_form, parse_scalar
+from poissonforms.polynomials import Poly
 from poissonforms.ratexpr import Chart, RatExpr
+from poissonforms.scalars import GaussianRational
+
+from identities import pairwise_signed_sum
 
 
 @pytest.fixture
@@ -198,3 +204,46 @@ def test_wedge_sign_matches_sorting(a, b):
                          for j in range(i + 1, len(cat)) if cat[i] > cat[j])
         assert got.parts == {tuple(sorted(cat)):
                              RatExpr.const(ch, (-1) ** inversions)}
+
+
+# -- the signed sum against its pairwise reference ---------------------
+
+XYZ = Chart(("x", "y", "z"))
+_halves = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
+_gaussians = st.builds(GaussianRational, _halves, _halves)
+# Polynomials over chart.unit, with halves and Gaussian coefficients.
+_polynomials = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), _gaussians, max_size=3
+).map(lambda t: RatExpr(XYZ, Poly(3, t)))
+# Rational functions, whose denominators are not the unit.
+_rationals = st.builds(
+    lambda p, j, c: p / (RatExpr.variable(XYZ, j) + c),
+    _polynomials.filter(bool), st.integers(0, 2), st.integers(-2, 2))
+_factors = st.one_of(_polynomials, _polynomials, _rationals, _gaussians)
+
+
+@st.composite
+def _terms(draw):
+    """(idxs, s, factors) terms with at least one RatExpr factor each and
+    indices that may repeat, then some of them again with the other sign,
+    so that whole terms cancel."""
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        factors = draw(st.lists(_factors, min_size=1, max_size=3))
+        if not any(isinstance(f, RatExpr) for f in factors):
+            factors.append(draw(_polynomials))
+        idxs = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+        terms.append((idxs, draw(st.sampled_from((1, -1))), tuple(factors)))
+    if terms:
+        again = draw(st.lists(st.sampled_from(terms), max_size=3))
+        terms += [(idxs, -s, factors) for idxs, s, factors in again]
+    return draw(st.permutations(terms))
+
+
+@given(_terms())
+@settings(max_examples=80, deadline=None)
+def test_signed_sum_matches_pairwise_sum(terms):
+    got = _signed_sum(XYZ, terms)
+    assert got == pairwise_signed_sum(XYZ, terms)
+    assert all(c for c in got.parts.values())
+    assert all(c.den is XYZ.unit for c in got.parts.values() if c.is_poly())

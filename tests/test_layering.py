@@ -141,6 +141,16 @@ def test_law_arguments_have_one_walk():
             ] == ["bracket"]
 
 
+def test_coefficient_products_have_one_loop():
+    """Poly.__mul__ and PolySum.add_product multiply coefficient dicts in
+    the one loop `_mul_add`, which no other module reads."""
+    source = (SRC / "polynomials.py").read_text()
+    assert _readers("polynomials", source, "_mul_add") == {
+        "polynomials.Poly", "polynomials.PolySum"}
+    assert [m for m in LAYERS if m != "polynomials" and _readers(
+        m, (SRC / f"{m}.py").read_text(), "_mul_add")] == []
+
+
 def test_readers_are_found():
     source = ("from .bracket import _samples as draw, _generators\n"
               "def f(x):\n    return draw(x)\n"

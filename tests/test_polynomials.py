@@ -211,6 +211,29 @@ def test_poly_sum_matches_pairwise_sums(addends):
     assert_normal(acc.value())
 
 
+@NORMAL_FORM
+@given(st.lists(st.tuples(st.lists(_polys, min_size=1, max_size=3),
+                          st.sampled_from((1, -1))), max_size=5))
+def test_poly_sum_of_products_matches_poly_products(addends):
+    acc = PolySum(2)
+    want = Poly.zero(2)
+    for factors, sign in addends:
+        acc.add_product(factors, sign)
+        prod = factors[0]
+        for p in factors[1:]:
+            prod = prod * p
+        want = want + prod if sign == 1 else want - prod
+        assert acc.nterms() == want.nterms()
+    assert acc.value() == want
+    assert_normal(acc.value())
+
+
+def test_poly_sum_checks_every_factor():
+    x, _ = xy()
+    with pytest.raises(ValueError):
+        PolySum(2).add_product((x, Poly.variable(3, 0)))
+
+
 def test_boundary_values_are_gaussian_rationals():
     half = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
     p = Poly(2, {(1, 0): half, (0, 0): Fraction(3, 4), (0, 1): 0})

@@ -185,6 +185,24 @@ def test_powers_and_conjugates_take_no_gcd(monkeypatch, czx):
     assert len(calls) == 1
 
 
+def test_polynomial_results_keep_the_chart_unit(czx):
+    """Every polynomial result has the chart's one unit as denominator,
+    also where a fraction cancels to a polynomial: forms sum the terms
+    with that denominator on integers, and pick them by identity."""
+    unit = czx.unit
+    r = parse_scalar("(3*z + 2*i*zb)^2 - z*zb/2", czx)
+    s = parse_scalar("z - i", czx)
+    q = parse_scalar("z*zb/(z - i)", czx)
+    cancelling = parse_scalar("(z^2 - i*z - z*zb)/(z - i)", czx)
+    results = [r, s, r.conj(), r ** 3, r ** 0, -r, r.diff(0), r.diff("zb"),
+               r * s, r + s, r - s, r / 3, r / GaussianRational(0, 2),
+               q * s, (1 / s) ** -2, q + cancelling,
+               RatExpr(czx, r.num, parse_scalar("3", czx).num),
+               RatExpr.const(czx, 2), RatExpr.variable(czx, 1)]
+    assert all(x.is_poly() for x in results)
+    assert [x for x in results if x.den is not unit] == []
+
+
 def test_integer_arithmetic_builds_no_scalars(monkeypatch, czx):
     """+, *, diff and conj on denominator-1 expressions with Gaussian-
     integer coefficients run on ints: no GaussianRational is built."""
