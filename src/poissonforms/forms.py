@@ -49,10 +49,11 @@ def _signed_sum(chart: Chart, terms) -> "DiffForm":
     """The form summing s * f1 * f2 * ... dx^idxs[0] ^ dx^idxs[1] ^ ...
     over the terms (idxs, s, (f1, f2, ...)) with s = 1 or -1; a term with
     a repeated index is zero, and its factors are not multiplied.  A term
-    whose factors are all polynomials, RatExprs over chart.unit, is
-    multiplied and added on integer coefficients into one PolySum per
-    sorted index tuple, reduced once at the end; any other term is a
-    RatExpr product added to a RatExpr sum."""
+    whose factors are all polynomials is multiplied and added on integer
+    coefficients into one PolySum per sorted index tuple, reduced once at
+    the end; any other term is a RatExpr product added to a RatExpr sum.
+    A polynomial is told by `f.den is unit`, inlined from `is_poly`:
+    RatExpr._of stores every denominator equal to 1 as chart.unit."""
     unit = chart.unit
     polys = {}
     sums = {}

@@ -55,7 +55,7 @@ def poly_str(p: Poly, names) -> str:
 
 def ratexpr_str(r: RatExpr) -> str:
     names = r.chart.names
-    if r.den.is_const():
+    if r.is_poly():
         return poly_str(r.num, names)
     num = poly_str(r.num, names)
     den = poly_str(r.den, names)
@@ -68,7 +68,7 @@ def ratexpr_str(r: RatExpr) -> str:
 
 def _coeff_factor(r: RatExpr) -> str:
     s = ratexpr_str(r)
-    if r.den.is_const() and r.num.nterms() > 1:
+    if r.is_poly() and r.num.nterms() > 1:
         return f"({s})"
     return s
 

@@ -21,13 +21,13 @@ a/b and c/d:
 The product and the sum are the only places a gcd is taken.  Powers and
 conjugates of a reduced fraction are reduced, so they are at most made
 monic, and the derivative of a fraction is the quotient (a'b - ab')/b^2,
-reduced by the constructor.  Every polynomial expression, one whose
-denominator is the constant 1, has its chart's one `Chart.unit` as that
-denominator, also where a fraction cancels to a polynomial: forms tell
-polynomial coefficients apart by that identity.  An expression keeps
-each derivative it has computed, by variable index, so `diff` runs once
-per expression and variable; the slot stays unset until the first call,
-and building an expression costs nothing for it.
+reduced by the constructor.  The raw constructor `_of`, which builds
+every expression, stores a denominator equal to 1 as the chart's one
+`Chart.unit`, so `is_poly` is an identity test, and forms tell
+polynomial coefficients apart by it.  An expression keeps each
+derivative it has computed, by variable index, so `diff` runs once per
+expression and variable; the slot stays unset until the first call, and
+building an expression costs nothing for it.
 Charts carry the coordinate names plus, for complex charts, the pairing
 that drives conjugation.
 """
@@ -45,10 +45,11 @@ _NAME_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 class Chart:
     """Ordered coordinates; complex charts pair each holomorphic coordinate
-    with its conjugate partner.  `unit` is the constant polynomial 1 in
-    the chart's variables, shared by every RatExpr with denominator 1."""
+    with its conjugate partner, and `_conj`, built once, maps each index
+    to its partner's (to itself on a real chart).  `unit` is the constant
+    polynomial 1 in the chart's variables, every polynomial's denominator."""
 
-    __slots__ = ("names", "kind", "pairs", "partner", "holo", "unit")
+    __slots__ = ("names", "kind", "pairs", "_conj", "holo", "unit")
 
     def __init__(self, names, kind: str = "real", pairs=()):
         names = tuple(names)
@@ -79,7 +80,8 @@ class Chart:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "pairs", tuple(pairs))
-        object.__setattr__(self, "partner", partner)
+        object.__setattr__(self, "_conj", tuple(partner.get(j, j)
+                                                for j in range(len(names))))
         object.__setattr__(self, "holo", frozenset(holo))
         object.__setattr__(self, "unit", Poly.const(len(names), 1))
 
@@ -109,9 +111,7 @@ class Chart:
         return idx in self.holo
 
     def conj_perm(self) -> tuple:
-        if self.kind == "real":
-            return tuple(range(self.n))
-        return tuple(self.partner[j] for j in range(self.n))
+        return self._conj
 
     def __eq__(self, other):
         if self is other:
@@ -156,7 +156,10 @@ class RatExpr:
 
     @staticmethod
     def _of(chart: Chart, num: Poly, den: Poly) -> "RatExpr":
-        """num/den already in reduced monic form: no gcd is taken."""
+        """num/den already in reduced monic form: no gcd is taken.  A
+        denominator equal to 1 is stored as chart.unit."""
+        if den is not chart.unit and den.is_one():
+            den = chart.unit
         out = object.__new__(RatExpr)
         object.__setattr__(out, "chart", chart)
         object.__setattr__(out, "num", num)
@@ -189,13 +192,13 @@ class RatExpr:
         return not self.num.is_zero()
 
     def is_const(self) -> bool:
-        return self.num.is_const() and self.den.is_const()
+        return self.num.is_const() and self.is_poly()
 
     def const_value(self) -> GaussianRational:
         return self.num.const_value() / self.den.const_value()
 
     def is_poly(self) -> bool:
-        return self.den.is_const()
+        return self.den is self.chart.unit
 
     # -- arithmetic ---------------------------------------------------
 
@@ -226,8 +229,7 @@ class RatExpr:
         g2 = _common(t, g)
         if g2 is None:
             return RatExpr._of(chart, t, s * d)
-        return RatExpr._of(chart, t.divexact(g2),
-                           _shared_unit(chart, s * d.divexact(g2)))
+        return RatExpr._of(chart, t.divexact(g2), s * d.divexact(g2))
 
     __radd__ = __add__
 
@@ -274,7 +276,7 @@ class RatExpr:
             a, d = a.divexact(g1), d.divexact(g1)
         g2 = _common(c, b)
         if g2 is not None:
-            c, b = c.divexact(g2), _shared_unit(self.chart, b.divexact(g2))
+            c, b = c.divexact(g2), b.divexact(g2)
         return RatExpr._of(self.chart, _times(a, c), _times(b, d))
 
     def __rtruediv__(self, other):
@@ -292,7 +294,7 @@ class RatExpr:
             num, den = _monic(self.den ** -n, self.num ** -n)
         else:
             num, den = self.num ** n, self.den ** n
-        return RatExpr._of(self.chart, num, _shared_unit(self.chart, den))
+        return RatExpr._of(self.chart, num, den)
 
     def diff(self, which) -> "RatExpr":
         """The partial derivative along a coordinate, kept in the slot _d
@@ -305,7 +307,7 @@ class RatExpr:
         out = done.get(idx)
         if out is None:
             n, d = self.num, self.den
-            if d.is_const():
+            if self.is_poly():
                 out = RatExpr._of(self.chart, n.deriv(idx), d)
             else:
                 out = RatExpr(self.chart, n.deriv(idx) * d - n * d.deriv(idx), d * d)
@@ -317,7 +319,7 @@ class RatExpr:
         fraction is reduced; only its denominator is made monic again."""
         perm = self.chart.conj_perm()
         num, den = _monic(self.num.conjugate(perm), self.den.conjugate(perm))
-        return RatExpr._of(self.chart, num, _shared_unit(self.chart, den))
+        return RatExpr._of(self.chart, num, den)
 
     # -- comparison ---------------------------------------------------
 
@@ -345,12 +347,6 @@ def _common(p: Poly, q: Poly):
         return None
     g = poly_gcd(p, q)
     return None if g.is_const() else g
-
-
-def _shared_unit(chart: Chart, den: Poly) -> Poly:
-    """den, a monic denominator, or chart.unit when den is the constant 1:
-    the rule that keeps every polynomial on the chart's one unit."""
-    return chart.unit if den.is_const() else den
 
 
 def _monic(p: Poly, q: Poly) -> tuple:

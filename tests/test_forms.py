@@ -246,4 +246,9 @@ def test_signed_sum_matches_pairwise_sum(terms):
     got = _signed_sum(XYZ, terms)
     assert got == pairwise_signed_sum(XYZ, terms)
     assert all(c for c in got.parts.values())
-    assert all(c.den is XYZ.unit for c in got.parts.values() if c.is_poly())
+    assert all(c.den is XYZ.unit for c in got.parts.values()
+               if c.den.is_one())
+    values = list(got.parts.values()) + [f for _, _, factors in terms
+                                         for f in factors
+                                         if isinstance(f, RatExpr)]
+    assert all(c.is_poly() == c.den.is_one() for c in values)

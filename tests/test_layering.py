@@ -151,6 +151,17 @@ def test_coefficient_products_have_one_loop():
         m, (SRC / f"{m}.py").read_text(), "_mul_add")] == []
 
 
+def test_the_chart_unit_has_one_owner():
+    """RatExpr._of stores chart.unit for every denominator equal to 1, so
+    no other site maps a denominator onto it.  `_signed_sum` reads it to
+    pick polynomial terms by identity, and `random_scalar` to build a
+    polynomial expression."""
+    assert {r for module in LAYERS
+            for r in _readers(module, (SRC / f"{module}.py").read_text(),
+                              "unit")} == {
+        "ratexpr.RatExpr", "forms._signed_sum", "bracket.random_scalar"}
+
+
 def test_readers_are_found():
     source = ("from .bracket import _samples as draw, _generators\n"
               "def f(x):\n    return draw(x)\n"

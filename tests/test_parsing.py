@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from poissonforms import polynomials
 from poissonforms.parsing import (MAX_DEPTH, MAX_EXPONENT, MAX_TERMS,
                                   ParseError, parse_form, parse_scalar)
 from poissonforms.printing import form_str, ratexpr_str
@@ -123,16 +124,27 @@ def test_expansion_size_is_bounded():
         parse_form("(a+b+c+d+1)^4*d[a]^(a+b+c+d+1)^4*d[b]", ch)
 
 
-def test_long_sum_is_accumulated_once():
+def test_long_sum_is_accumulated_once(monkeypatch):
     """A sum of many terms costs the size of its terms, not the square of
-    it: the 900-term polynomial above parses well within a second."""
+    it: the 900-term polynomial above parses well within a second, and
+    the coefficient entries merged into sums number a few per term, where
+    adding the running value to each term would merge about 900^2/2."""
     ch = Chart(("a", "b", "c", "d"))
     polynomial = "+".join(f"a^{i}*b^{j}*c^{k}" for i in range(10)
                           for j in range(10) for k in range(9))
+    merge = polynomials._merge
+    visited = []
+
+    def counting(terms, coeffs, m):
+        visited.append(len(coeffs))
+        merge(terms, coeffs, m)
+
+    monkeypatch.setattr(polynomials, "_merge", counting)
     start = time.perf_counter()
     got = parse_scalar(polynomial, ch)
     assert time.perf_counter() - start < 1.0
     assert got.num.nterms() == 900
+    assert 900 <= sum(visited) <= 3 * 900
 
 
 def test_sums_mixing_polynomials_and_fractions(ch):

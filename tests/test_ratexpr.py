@@ -4,6 +4,7 @@ import pytest
 
 from poissonforms import ratexpr
 from poissonforms.parsing import parse_scalar
+from poissonforms.polynomials import Poly
 from poissonforms.ratexpr import Chart, RatExpr
 from poissonforms.scalars import GaussianRational
 
@@ -37,6 +38,11 @@ def test_chart_pairing(czx):
     assert czx.conj_perm() == (1, 0)
     assert czx.is_holo(0) and not czx.is_holo(1)
     assert Chart(("x",)).conj_perm() == (0,)
+
+
+def test_conjugation_permutation_is_built_once(ch, czx):
+    assert ch.conj_perm() is ch.conj_perm()
+    assert czx.conj_perm() is czx.conj_perm()
 
 
 def test_reduction_cancels_common_factor(ch):
@@ -199,8 +205,19 @@ def test_polynomial_results_keep_the_chart_unit(czx):
                q * s, (1 / s) ** -2, q + cancelling,
                RatExpr(czx, r.num, parse_scalar("3", czx).num),
                RatExpr.const(czx, 2), RatExpr.variable(czx, 1)]
-    assert all(x.is_poly() for x in results)
+    assert all(x.den.is_one() for x in results)
     assert [x for x in results if x.den is not unit] == []
+
+
+def test_raw_constructor_stores_the_chart_unit(ch, czx):
+    """_of stores chart.unit for any denominator equal to 1, also one
+    built elsewhere or taken from an equal but distinct chart."""
+    for chart, other in ((ch, Chart(ch.names)), (czx, Chart(
+            czx.names, kind="complex", pairs=czx.pairs))):
+        p = RatExpr.variable(chart, 0).num
+        for one in (Poly.const(chart.n, 1), other.unit):
+            x = RatExpr._of(chart, p, one)
+            assert x.den is chart.unit and x.is_poly()
 
 
 def test_integer_arithmetic_builds_no_scalars(monkeypatch, czx):
